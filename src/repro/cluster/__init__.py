@@ -7,8 +7,8 @@ campaign's deduplicated cells and streams back encoded payloads:
 - :class:`SerialBackend` — the calling process, one cell at a time.
 - :class:`VectorBackend` — the calling process, with compatible cells
   lock-stepped in gangs through one grid kernel
-  (:mod:`repro.engine.gang`); bit-identical to serial, much faster on
-  homogeneous grids.
+  (:mod:`repro.engine.gang`, pure python, one lane per cell);
+  bit-identical to serial and faster on mixed Fig. 4.3 grids.
 - :class:`LocalProcessBackend` — a reusable local process pool.
 - :class:`HttpWorkerBackend` — a coordinator sharding cells across
   ``python -m repro worker`` processes over the ``/v1`` JSON protocol,

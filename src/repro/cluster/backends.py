@@ -131,36 +131,26 @@ class VectorBackend(ExecutionBackend):
     one :class:`~repro.core.kernel.GridMemSpot` per window, and
     incompatible leftovers fall back to per-cell serial execution.
     Results are bit-identical to :class:`SerialBackend` — gangs reuse
-    the exact solo stepping halves and the grid kernel reproduces the
-    scalar float ops — so payloads, and therefore cache keys and
+    the exact solo stepping halves and the grid kernel steps each
+    cell's own kernel — so payloads, and therefore cache keys and
     envelopes, match byte for byte.
 
-    ``kernel_backend`` picks the grid arithmetic: ``"auto"`` uses NumPy
-    when importable and pure python otherwise, ``"numpy"`` insists,
-    ``"python"`` opts out.  Like :class:`SerialBackend` the results are
-    computed through the campaign's store (``in_process``), with cache
-    hits self-served before any gang runs; unlike serial, cells inside
-    one gang finish together, so streaming granularity is the gang, not
-    the cell, and gang-hosted cells do not surface individual
-    ``/v1/progress`` labels.
+    Like :class:`SerialBackend` the results are computed through the
+    campaign's store (``in_process``), with cache hits self-served
+    before any gang runs; unlike serial, cells inside one gang finish
+    together, so streaming granularity is the gang, not the cell, and
+    gang-hosted cells do not surface individual ``/v1/progress``
+    labels.
     """
 
     name = "vector"
     in_process = True
     shares_disk = True
 
-    def __init__(
-        self, batch_cells: int = 16, kernel_backend: str = "auto"
-    ) -> None:
+    def __init__(self, batch_cells: int = 16) -> None:
         if batch_cells < 2:
             raise ConfigurationError("batch_cells must be >= 2")
-        if kernel_backend not in ("auto", "numpy", "python"):
-            raise ConfigurationError(
-                "kernel backend must be 'auto', 'numpy' or 'python', "
-                f"got {kernel_backend!r}"
-            )
         self.batch_cells = batch_cells
-        self.kernel_backend = kernel_backend
         self._cells: list[Cell] = []
         self._store: ResultStore | None = None
 
@@ -204,11 +194,7 @@ class VectorBackend(ExecutionBackend):
                 misses.append((key, spec))
             if not misses:
                 return
-            plan = plan_gangs(
-                misses,
-                batch_cells=self.batch_cells,
-                backend=self.kernel_backend,
-            )
+            plan = plan_gangs(misses, batch_cells=self.batch_cells)
             for planned in plan.gangs:
                 started = time.perf_counter()
                 results = planned.gang.run_to_completion()

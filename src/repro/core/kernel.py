@@ -15,6 +15,11 @@ hop counts, the Table 3.2 resistances, and the three RC gains
 flat lists.  One :meth:`step` is then a single pass of scalar float
 arithmetic: no dataclasses, no per-node dispatch, no repeated ``exp()``.
 
+:class:`GridMemSpot` is the gang entry point: N compatible cells, one
+call per window, each lane the cell's own :meth:`BatchedMemSpot.step`.
+It is the only grid implementation; its docstring records why there is
+no array backend.
+
 Numerical contract: every expression below reproduces the scalar path's
 floating-point operations *in the same order*, so the batched and
 per-node kernels are bit-identical, not merely close.  The golden-master
@@ -25,27 +30,13 @@ enforce this equivalence.
 from __future__ import annotations
 
 import math
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.core.memspot import MemSpot, MemSpotSample
 from repro.errors import ConfigurationError, ThermalModelError
 from repro.params.power_params import AMBPowerParams, DRAMPowerParams
 from repro.params.thermal_params import AmbientModelParams, CoolingConfig
 from repro.units import GB
-
-
-def _import_numpy():
-    """NumPy if importable, else None.
-
-    NumPy is an optional accelerator, never a dependency: every caller
-    of :class:`GridMemSpot` works (bit-identically) without it, just on
-    the pure-python cell loop instead of stacked arrays.
-    """
-    try:
-        import numpy
-    except Exception:  # pragma: no cover - exercised via monkeypatch
-        return None
-    return numpy
 
 
 def make_memspot(kernel: str = "batched", **kwargs) -> "MemSpot | BatchedMemSpot":
@@ -307,43 +298,34 @@ class BatchedMemSpot:
 
 
 class GridMemSpot:
-    """N compatible cells' thermal chains stepped as one flat grid.
+    """N compatible cells' thermal chains stepped as one grid.
 
-    A *grid* stacks the RC state of many :class:`BatchedMemSpot` cells
-    along an extra cell axis: every cell shares the chain topology (the
-    DIMMs-per-channel count fixes the number of RC nodes) while all
-    per-cell parameters — cooling resistances, inlet/interaction,
-    channel count, power coefficients — broadcast per cell.  One
-    :meth:`step_all` advances every cell by one window, which is what
-    lets a gang (:mod:`repro.engine.gang`) pay the per-window kernel
-    dispatch once for a whole campaign batch.
+    A *grid* holds many :class:`BatchedMemSpot` cells that share the
+    chain topology (the DIMMs-per-channel count fixes the number of RC
+    nodes) while every per-cell parameter — cooling resistances,
+    inlet/interaction, channel count, power coefficients — stays the
+    cell's own.  One :meth:`step_all` (or its :meth:`step_all_uniform`
+    / :meth:`step_all_raw` variants) advances every cell by one window:
+    one kernel call per window for a whole gang
+    (:mod:`repro.engine.gang`).
 
-    Two backends, selected by ``backend``:
+    Each lane is the cell's own :meth:`BatchedMemSpot.step`, so the
+    grid is bit-identical to per-cell stepping by construction and the
+    cells always hold the live thermal state: there is nothing to copy
+    in or write back, and a grid can be dropped and rebuilt around any
+    subset of its cells at a window boundary.
 
-    - ``"python"`` — delegates to each cell's own
-      :meth:`BatchedMemSpot.step`, so equivalence with per-cell
-      stepping holds by construction;
-    - ``"numpy"`` — keeps the state in ``(cells, dimms)`` float64
-      arrays and replays the scalar kernel's expressions elementwise.
-      Only IEEE-correctly-rounded elementwise operations are used (the
-      RC gains still come from per-cell :func:`math.exp`, the chain
-      power sum still accumulates position by position), so the array
-      path is **bit-identical** to the scalar one — the property suite
-      enforces this, and the scalar kernels remain the golden
-      reference.
-    - ``"auto"`` (default) — ``numpy`` when importable, else
-      ``python``.  NumPy stays an optional extra, never a dependency.
-
-    The cell kernels are the source of truth between grids: the NumPy
-    backend copies their state in at construction and writes it back on
-    :meth:`sync` (cheap, and required before reading a cell's
-    ``thermal_state()`` — e.g. for an engine checkpoint).  The python
-    backend mutates the cells directly, so ``sync`` is a no-op.
+    There is deliberately no array (NumPy) backend.  One kept the
+    state in ``(cells, dimms)`` float64 arrays and replayed these
+    expressions elementwise, bit-identically; measured on a 2 vCPU
+    host (Python 3.11, NumPy 2.4), it was slower than these python
+    lanes at every gang width on a mixed Fig. 4.3 grid — 5.4x at 1
+    cell, 1.7x at 8, 1.1x at 16 — and won only on homogeneous
+    32-cell inlet sweeps, which no benchmark workload runs.  Re-adding
+    one needs a benchmark workload that shows the win.
     """
 
-    def __init__(
-        self, cells: Sequence[BatchedMemSpot], backend: str = "auto"
-    ) -> None:
+    def __init__(self, cells: Sequence[BatchedMemSpot]) -> None:
         cells = list(cells)
         if not cells:
             raise ConfigurationError("a grid needs at least one cell")
@@ -359,25 +341,7 @@ class GridMemSpot:
                 "grid cells must share the RC topology "
                 "(equal dimms_per_channel)"
             )
-        if backend == "auto":
-            self._np = _import_numpy()
-        elif backend == "numpy":
-            self._np = _import_numpy()
-            if self._np is None:
-                raise ConfigurationError(
-                    "backend='numpy' requires NumPy (not importable here); "
-                    "use backend='auto' or 'python'"
-                )
-        elif backend == "python":
-            self._np = None
-        else:
-            raise ConfigurationError(
-                f"backend must be 'auto', 'numpy' or 'python', got {backend!r}"
-            )
         self._cells = cells
-        self._dimms = dimms
-        if self._np is not None:
-            self._pull()
 
     # -- introspection -----------------------------------------------------
 
@@ -388,95 +352,6 @@ class GridMemSpot:
     def cells(self) -> tuple[BatchedMemSpot, ...]:
         """The per-cell kernels, in grid order."""
         return tuple(self._cells)
-
-    @property
-    def backend(self) -> str:
-        """The resolved backend: ``"numpy"`` or ``"python"``."""
-        return "python" if self._np is None else "numpy"
-
-    # -- numpy state management --------------------------------------------
-
-    def _pull(self) -> None:
-        """Load every cell's state and constants into stacked arrays."""
-        np = self._np
-        cells = self._cells
-
-        def rows(name: str):
-            return np.asarray([getattr(c, name) for c in cells], dtype=np.float64)
-
-        self._idle_w = rows("_idle_w")                    # (N, n)
-        self._t_amb = rows("_t_amb")
-        self._t_dram = rows("_t_dram")
-        self._t_ambient = rows("_t_ambient")              # (N,)
-        self._beta = rows("_beta")
-        self._gamma = rows("_gamma")
-        self._dram_static = rows("_dram_static")
-        self._alpha1 = rows("_alpha1")
-        self._alpha2 = rows("_alpha2")
-        self._psi_amb = rows("_psi_amb")
-        self._psi_dram_amb = rows("_psi_dram_amb")
-        self._psi_dram = rows("_psi_dram")
-        self._psi_amb_dram = rows("_psi_amb_dram")
-        self._inlet = rows("_inlet")
-        self._interaction = rows("_interaction")
-        self._channels = rows("_channels")
-        #: Cells whose ambient model is isolated report the fixed inlet
-        #: as their ambient reading (the scalar kernel's ``== 0.0``
-        #: branch, as a per-cell select).
-        self._isolated = self._interaction == 0.0
-        #: Bypass hop counts are topology-shared small ints (see
-        #: BatchedMemSpot._hops), stored as a float64 row so the 2-D
-        #: bypass expression broadcasts them per position.  The int ->
-        #: float64 conversion is exact, so ``total * hops / n`` performs
-        #: the scalar path's operations bit for bit.
-        self._hops = np.asarray(
-            [float(self._dimms - 1 - i) for i in range(self._dimms)]
-        )
-        #: Per-cell RC time constants, kept as python lists: the gains
-        #: ``1 - exp(-dt/tau)`` must come from ``math.exp`` per cell
-        #: (np.exp is not guaranteed bit-identical to libm).
-        self._taus_ambient = [c._tau_ambient for c in cells]
-        self._taus_amb = [c._tau_amb for c in cells]
-        self._taus_dram = [c._tau_dram for c in cells]
-        self._gain_dt = -1.0
-
-    def sync(self) -> None:
-        """Write the stacked state back into the per-cell kernels.
-
-        Call before reading any cell's ``thermal_state()``/``sample()``
-        (checkpoints, finalization) and before handing cells to another
-        grid.  The python backend steps the cells directly, so there is
-        nothing to write back.
-        """
-        if self._np is None:
-            return
-        t_amb = self._t_amb.tolist()
-        t_dram = self._t_dram.tolist()
-        t_ambient = self._t_ambient.tolist()
-        for cell, ta, td, tam in zip(self._cells, t_amb, t_dram, t_ambient):
-            cell._t_amb = ta
-            cell._t_dram = td
-            cell._t_ambient = tam
-            # Mirror load_thermal_state: force a gain recompute on the
-            # cell's next solo step (recomputed gains are identical).
-            cell._gain_dt = -1.0
-
-    def _set_dt(self, dt_s: float) -> None:
-        if dt_s < 0:
-            raise ThermalModelError(
-                f"time step must be non-negative, got {dt_s}"
-            )
-        np = self._np
-        self._gain_dt = dt_s
-        self._gain_ambient = np.asarray(
-            [1.0 - math.exp(-dt_s / tau) for tau in self._taus_ambient]
-        )
-        self._gain_amb = np.asarray(
-            [1.0 - math.exp(-dt_s / tau) for tau in self._taus_amb]
-        )
-        self._gain_dram = np.asarray(
-            [1.0 - math.exp(-dt_s / tau) for tau in self._taus_dram]
-        )
 
     # -- the hot path ------------------------------------------------------
 
@@ -490,9 +365,9 @@ class GridMemSpot:
         """Advance every cell by one window; per-cell samples in order.
 
         The three traffic sequences give each cell its own window input
-        (a lock-step gang passes per-cell outcomes; a leader-broadcast
-        gang passes the same value N times).  ``dt_s`` is shared — the
-        gang's lock-step cadence is what makes cells compatible.
+        (a lock-step gang passes per-cell outcomes).  ``dt_s`` is
+        shared — the gang's lock-step cadence is what makes cells
+        compatible.
         """
         count = len(self._cells)
         if (
@@ -505,19 +380,12 @@ class GridMemSpot:
                 f"{len(read_bytes_per_s)}/{len(write_bytes_per_s)}/"
                 f"{len(cpu_heating_sums)}"
             )
-        if self._np is None:
-            return [
-                cell.step(read_bps, write_bps, heating, dt_s)
-                for cell, read_bps, write_bps, heating in zip(
-                    self._cells,
-                    read_bytes_per_s,
-                    write_bytes_per_s,
-                    cpu_heating_sums,
-                )
-            ]
-        return self._step_all_numpy(
-            read_bytes_per_s, write_bytes_per_s, cpu_heating_sums, dt_s
-        )
+        return [
+            cell.step(read_bps, write_bps, heating, dt_s)
+            for cell, read_bps, write_bps, heating in zip(
+                self._cells, read_bytes_per_s, write_bytes_per_s, cpu_heating_sums
+            )
+        ]
 
     def step_all_uniform(
         self,
@@ -530,24 +398,13 @@ class GridMemSpot:
 
         The leader-broadcast gang path: all cells receive the same
         traffic and CPU heating, so the per-window inputs are three
-        floats instead of three N-element lists.  Bit-identical to
-        :meth:`step_all` with the values repeated per cell — NumPy
-        broadcasts the python float into every lane, and
-        ``float64 op scalar`` is the same IEEE-correctly-rounded
-        elementwise operation as ``float64 op float64``.
+        floats instead of three N-element lists.  Identical to
+        :meth:`step_all` with the values repeated per cell.
         """
-        if self._np is None:
-            return [
-                cell.step(
-                    read_bytes_per_s, write_bytes_per_s, cpu_heating_sum, dt_s
-                )
-                for cell in self._cells
-            ]
-        if read_bytes_per_s < 0 or write_bytes_per_s < 0:
-            raise ConfigurationError("channel throughput must be non-negative")
-        return self._step_kernel(
-            read_bytes_per_s, write_bytes_per_s, cpu_heating_sum, dt_s
-        )
+        return [
+            cell.step(read_bytes_per_s, write_bytes_per_s, cpu_heating_sum, dt_s)
+            for cell in self._cells
+        ]
 
     def step_all_raw(
         self,
@@ -555,147 +412,20 @@ class GridMemSpot:
         write_bytes_per_s: Sequence[float],
         cpu_heating_sums: Sequence[float],
         dt_s: float,
-    ) -> tuple[Any, Any, Any, Any]:
-        """:meth:`step_all` without the sample objects.
+    ) -> tuple[list[float], list[float], list[float], list[float]]:
+        """:meth:`step_all` as four per-cell lists.
 
         Returns ``(amb_peak_c, dram_peak_c, ambient_c, memory_power_w)``
-        as four (N,) float64 arrays (NumPy backend) or lists (python
-        backend) — the exact values the per-cell
-        :class:`~repro.core.memspot.MemSpotSample` fields would carry,
-        with no per-cell object construction.  The batched gang apply
-        path consumes these directly for its flat-array accounting.
+        — the :class:`~repro.core.memspot.MemSpotSample` fields, one
+        list per field in grid order — which is the shape the lockstep
+        gang's per-window accounting consumes.
         """
-        count = len(self._cells)
-        if (
-            len(read_bytes_per_s) != count
-            or len(write_bytes_per_s) != count
-            or len(cpu_heating_sums) != count
-        ):
-            raise ConfigurationError(
-                f"step_all_raw needs one input per cell ({count}), got "
-                f"{len(read_bytes_per_s)}/{len(write_bytes_per_s)}/"
-                f"{len(cpu_heating_sums)}"
-            )
-        if self._np is None:
-            samples = [
-                cell.step(read_bps, write_bps, heating, dt_s)
-                for cell, read_bps, write_bps, heating in zip(
-                    self._cells,
-                    read_bytes_per_s,
-                    write_bytes_per_s,
-                    cpu_heating_sums,
-                )
-            ]
-            return (
-                [s.amb_c for s in samples],
-                [s.dram_c for s in samples],
-                [s.ambient_c for s in samples],
-                [s.memory_power_w for s in samples],
-            )
-        np = self._np
-        if min(read_bytes_per_s) < 0 or min(write_bytes_per_s) < 0:
-            raise ConfigurationError("channel throughput must be non-negative")
-        return self._step_kernel_raw(
-            np.asarray(read_bytes_per_s, dtype=np.float64),
-            np.asarray(write_bytes_per_s, dtype=np.float64),
-            np.asarray(cpu_heating_sums, dtype=np.float64),
-            dt_s,
+        samples = self.step_all(
+            read_bytes_per_s, write_bytes_per_s, cpu_heating_sums, dt_s
         )
-
-    def _step_all_numpy(
-        self, reads, writes, heats, dt_s: float
-    ) -> list[MemSpotSample]:
-        np = self._np
-        if min(reads) < 0 or min(writes) < 0:
-            raise ConfigurationError("channel throughput must be non-negative")
-        return self._step_kernel(
-            np.asarray(reads, dtype=np.float64),
-            np.asarray(writes, dtype=np.float64),
-            np.asarray(heats, dtype=np.float64),
-            dt_s,
+        return (
+            [s.amb_c for s in samples],
+            [s.dram_c for s in samples],
+            [s.ambient_c for s in samples],
+            [s.memory_power_w for s in samples],
         )
-
-    def _step_kernel(self, reads, writes, heats, dt_s: float):
-        """`_step_kernel_raw` wrapped into per-cell samples."""
-        amb_peak, dram_peak, ambient_c, power = self._step_kernel_raw(
-            reads, writes, heats, dt_s
-        )
-        return [
-            MemSpotSample(
-                amb_c=amb, dram_c=dram, ambient_c=ambient, memory_power_w=watts
-            )
-            for amb, dram, ambient, watts in zip(
-                amb_peak.tolist(),
-                dram_peak.tolist(),
-                ambient_c.tolist(),
-                power.tolist(),
-            )
-        ]
-
-    def _step_kernel_raw(self, reads, writes, heats, dt_s: float):
-        """The numpy chain pass; inputs are (N,) arrays or scalars."""
-        np = self._np
-        if dt_s != self._gain_dt:
-            self._set_dt(dt_s)
-
-        # Eq. 3.6 ambient node, one lane per cell.
-        stable_ambient = self._inlet + self._interaction * heats
-        self._t_ambient = self._t_ambient + (
-            stable_ambient - self._t_ambient
-        ) * self._gain_ambient
-        ambient_c = np.where(self._isolated, self._inlet, self._t_ambient)
-
-        # Per-channel traffic split (per-cell channel counts broadcast).
-        read_ch = reads / self._channels
-        write_ch = writes / self._channels
-        total = read_ch + write_ch
-        n = self._dimms
-        local = total / n
-        local_gbps = local / GB
-        dram_w = (
-            self._dram_static
-            + self._alpha1 * ((read_ch / n) / GB)
-            + self._alpha2 * ((write_ch / n) / GB)
-        )
-
-        # The whole chain pass on the (cells, dimms) plane at once.
-        # Each scalar per-position expression becomes one elementwise
-        # op over the full plane — the identical IEEE operations in the
-        # identical order, issued once per window instead of once per
-        # position (the per-position issue overhead used to dominate
-        # the grid step at gang widths).  Only max (exact, no rounding)
-        # reduces across positions; the chain power sum stays a
-        # sequential column accumulation because np.sum's pairwise
-        # reduction would round differently from the scalar kernel's
-        # position-by-position additions.
-        ambient_col = ambient_c[:, None]
-        amb_w = (
-            self._idle_w
-            + self._beta[:, None] * ((total[:, None] * self._hops / n) / GB)
-            + self._gamma[:, None] * local_gbps[:, None]
-        )
-        dram_col = dram_w[:, None]
-        stable_amb = (
-            ambient_col
-            + amb_w * self._psi_amb[:, None]
-            + dram_col * self._psi_dram_amb[:, None]
-        )
-        stable_dram = (
-            ambient_col
-            + amb_w * self._psi_amb_dram[:, None]
-            + dram_col * self._psi_dram[:, None]
-        )
-        self._t_amb = self._t_amb + (
-            stable_amb - self._t_amb
-        ) * self._gain_amb[:, None]
-        self._t_dram = self._t_dram + (
-            stable_dram - self._t_dram
-        ) * self._gain_dram[:, None]
-        amb_peak = np.max(self._t_amb, axis=1)
-        dram_peak = np.max(self._t_dram, axis=1)
-        chain_w = amb_w + dram_col
-        total_power = np.zeros(len(self._cells))
-        for i in range(n):
-            total_power = total_power + chain_w[:, i]
-        power = total_power * self._channels
-        return amb_peak, dram_peak, ambient_c, power

@@ -33,7 +33,6 @@ class DTMACG(DTMPolicy):
     """
 
     name = "DTM-ACG"
-    vectorized = True
 
     def __init__(
         self,
@@ -70,7 +69,7 @@ class DTMACG(DTMPolicy):
         )
 
     @classmethod
-    def decide_all(cls, policies, amb_c, dram_c, dt_s, pending=None):
+    def decide_all(cls, policies, amb_c, dram_c, dt_s):
         """Batched gating: level tracking, rotation and ladder per cell.
 
         The rotation counter advances exactly as in :meth:`decide`
@@ -78,7 +77,7 @@ class DTMACG(DTMPolicy):
         the level, so they come from the per-rung cache.
         """
         if cls is not DTMACG:
-            return super().decide_all(policies, amb_c, dram_c, dt_s, pending)
+            return super().decide_all(policies, amb_c, dram_c, dt_s)
         decisions = []
         for policy, amb, dram in zip(policies, amb_c, dram_c):
             level = policy._tracker.level_values(amb, dram)
@@ -104,7 +103,7 @@ class DTMACG(DTMPolicy):
                     emergency_level=level,
                 )
             decisions.append(decision)
-        return decisions, None
+        return decisions
 
     def _full_shutdown(self, level: int) -> bool:
         """Whether this level calls for a complete memory shutdown."""

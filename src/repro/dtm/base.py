@@ -75,11 +75,6 @@ class DTMPolicy(abc.ABC):
     #: temperature, even conditionally.
     thermally_insensitive: bool = False
 
-    #: True when the class overrides :meth:`decide_all` with a batched
-    #: implementation (the lockstep-gang fast path).  Purely
-    #: informational — the default ``decide_all`` is always correct.
-    vectorized: bool = False
-
     @abc.abstractmethod
     def decide(self, reading: ThermalReading, dt_s: float) -> ControlDecision:
         """Produce the actuator state for the next interval."""
@@ -91,48 +86,22 @@ class DTMPolicy(abc.ABC):
         amb_c: Sequence[float],
         dram_c: Sequence[float],
         dt_s: float,
-        pending: Any = None,
-    ) -> tuple[list[ControlDecision], Any]:
+    ) -> list[ControlDecision]:
         """Batched :meth:`decide` over many same-class policy instances.
 
-        The vector protocol the lockstep gang drives
-        (:mod:`repro.engine.gang`): one call produces every cell's
-        decision for the window from flat temperature sequences,
-        bit-identical — decisions *and* policy state — to calling
-        :meth:`decide` per cell in order.
-
-        Returns ``(decisions, pending)``.  ``pending`` is an opaque,
-        implementation-owned bundle of staged state: a vectorized
-        implementation may keep its hysteresis latches / integrals in
-        flat arrays across windows instead of scattering them into the
-        policy objects every call.  The caller must thread the returned
-        ``pending`` into the next ``decide_all`` over the *same*
-        policies in the same order, and must call :meth:`apply_all`
-        before any policy's state becomes externally visible
-        (``state_dict``, a per-cell ``decide``, retirement of a member).
-        The default implementation is the plain per-cell loop — state
-        commits immediately and ``pending`` is ``None`` — so policies
-        without a batched override degrade transparently.
+        The call the lockstep gang (:mod:`repro.engine.gang`) makes
+        once per policy class per window: every cell's decision for
+        the window from flat temperature sequences, bit-identical —
+        decisions *and* policy state — to calling :meth:`decide` per
+        cell in order.  State commits immediately, so a policy is
+        consistent (``state_dict``, a per-cell ``decide``) between any
+        two calls.  The default is the plain per-cell loop; overrides
+        only skip the reading/decision object churn.
         """
-        return (
-            [
-                policy.decide(ThermalReading(amb_c=amb, dram_c=dram), dt_s)
-                for policy, amb, dram in zip(policies, amb_c, dram_c)
-            ],
-            None,
-        )
-
-    @classmethod
-    def apply_all(
-        cls, policies: Sequence["DTMPolicy"], pending: Any
-    ) -> None:
-        """Commit state staged by :meth:`decide_all` into the policies.
-
-        No-op for implementations that commit immediately (the default
-        and every table-driven policy); the array-backed PID path
-        scatters its controller state here.  Safe to call with
-        ``pending=None``.
-        """
+        return [
+            policy.decide(ThermalReading(amb_c=amb, dram_c=dram), dt_s)
+            for policy, amb, dram in zip(policies, amb_c, dram_c)
+        ]
 
     def reset(self) -> None:
         """Restore initial policy state (default: stateless)."""
@@ -172,7 +141,6 @@ class NoLimitPolicy(DTMPolicy):
     name = "No-limit"
     #: The decision is a constant — temperatures are never read.
     thermally_insensitive = True
-    vectorized = True
 
     def __init__(self, cores: int = 4) -> None:
         self._cores = cores
@@ -182,10 +150,10 @@ class NoLimitPolicy(DTMPolicy):
         return ControlDecision(active_cores=self._cores)
 
     @classmethod
-    def decide_all(cls, policies, amb_c, dram_c, dt_s, pending=None):
+    def decide_all(cls, policies, amb_c, dram_c, dt_s):
         """Batched decide: one shared constant decision per policy."""
         if cls is not NoLimitPolicy:
-            return super().decide_all(policies, amb_c, dram_c, dt_s, pending)
+            return super().decide_all(policies, amb_c, dram_c, dt_s)
         decisions = []
         for policy in policies:
             memo = _decision_memo(policy)
@@ -195,4 +163,4 @@ class NoLimitPolicy(DTMPolicy):
                     active_cores=policy._cores
                 )
             decisions.append(decision)
-        return decisions, None
+        return decisions

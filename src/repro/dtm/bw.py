@@ -28,7 +28,6 @@ class DTMBW(DTMPolicy):
     """
 
     name = "DTM-BW"
-    vectorized = True
 
     def __init__(self, levels: EmergencyLevels | None = None, cores: int = 4) -> None:
         self._levels = levels if levels is not None else SIMULATION_LEVELS
@@ -48,10 +47,10 @@ class DTMBW(DTMPolicy):
         )
 
     @classmethod
-    def decide_all(cls, policies, amb_c, dram_c, dt_s, pending=None):
+    def decide_all(cls, policies, amb_c, dram_c, dt_s):
         """Batched level tracking + ladder lookup, per-rung decisions."""
         if cls is not DTMBW:
-            return super().decide_all(policies, amb_c, dram_c, dt_s, pending)
+            return super().decide_all(policies, amb_c, dram_c, dt_s)
         decisions = []
         for policy, amb, dram in zip(policies, amb_c, dram_c):
             level = policy._tracker.level_values(amb, dram)
@@ -67,7 +66,7 @@ class DTMBW(DTMPolicy):
                     emergency_level=level,
                 )
             decisions.append(decision)
-        return decisions, None
+        return decisions
 
     def reset(self) -> None:
         """Clear the shutdown latch."""

@@ -32,7 +32,6 @@ class DTMCDVFS(DTMPolicy):
     """
 
     name = "DTM-CDVFS"
-    vectorized = True
 
     def __init__(
         self,
@@ -58,10 +57,10 @@ class DTMCDVFS(DTMPolicy):
         )
 
     @classmethod
-    def decide_all(cls, policies, amb_c, dram_c, dt_s, pending=None):
+    def decide_all(cls, policies, amb_c, dram_c, dt_s):
         """Batched level tracking + DVFS ladder, per-rung decisions."""
         if cls is not DTMCDVFS:
-            return super().decide_all(policies, amb_c, dram_c, dt_s, pending)
+            return super().decide_all(policies, amb_c, dram_c, dt_s)
         decisions = []
         for policy, amb, dram in zip(policies, amb_c, dram_c):
             level = policy._tracker.level_values(amb, dram)
@@ -79,7 +78,7 @@ class DTMCDVFS(DTMPolicy):
                     emergency_level=level,
                 )
             decisions.append(decision)
-        return decisions, None
+        return decisions
 
     def reset(self) -> None:
         """Clear the shutdown latch."""

@@ -31,7 +31,6 @@ class DTMCOMB(DTMPolicy):
     """
 
     name = "DTM-COMB"
-    vectorized = True
 
     def __init__(
         self,
@@ -59,10 +58,10 @@ class DTMCOMB(DTMPolicy):
         )
 
     @classmethod
-    def decide_all(cls, policies, amb_c, dram_c, dt_s, pending=None):
+    def decide_all(cls, policies, amb_c, dram_c, dt_s):
         """Batched level tracking + both ladders, per-rung decisions."""
         if cls is not DTMCOMB:
-            return super().decide_all(policies, amb_c, dram_c, dt_s, pending)
+            return super().decide_all(policies, amb_c, dram_c, dt_s)
         decisions = []
         for policy, amb, dram in zip(policies, amb_c, dram_c):
             level = policy._tracker.level_values(amb, dram)
@@ -80,7 +79,7 @@ class DTMCOMB(DTMPolicy):
                     emergency_level=level,
                 )
             decisions.append(decision)
-        return decisions, None
+        return decisions
 
     def reset(self) -> None:
         """Clear the shutdown latch."""

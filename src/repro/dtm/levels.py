@@ -42,7 +42,7 @@ class LevelTracker:
     def level_values(self, amb_c: float, dram_c: float) -> int:
         """:meth:`level` on bare temperatures — the batched deciders'
         entry point (``decide_all`` feeds floats straight from the
-        gang's flat arrays without building a ThermalReading)."""
+        gang's per-cell lists without building a ThermalReading)."""
         levels = self._levels
         raw = levels.level(amb_c, dram_c)
         top = levels.level_count - 1

@@ -32,7 +32,6 @@ class DTMTS(DTMPolicy):
     """
 
     name = "DTM-TS"
-    vectorized = True
 
     def __init__(
         self,
@@ -79,17 +78,16 @@ class DTMTS(DTMPolicy):
         )
 
     @classmethod
-    def decide_all(cls, policies, amb_c, dram_c, dt_s, pending=None):
+    def decide_all(cls, policies, amb_c, dram_c, dt_s):
         """Batched hysteresis: one tight loop, shared decision objects.
 
         Identical comparisons in identical order to :meth:`decide`; the
         per-cell saving is the ThermalReading/ControlDecision object
-        churn and the dispatch, not the arithmetic.  Latch state commits
-        immediately (``pending`` stays ``None``).
+        churn and the dispatch, not the arithmetic.
         """
         if cls is not DTMTS:
             # A subclass may have changed decide(); never vectorize it.
-            return super().decide_all(policies, amb_c, dram_c, dt_s, pending)
+            return super().decide_all(policies, amb_c, dram_c, dt_s)
         decisions = []
         for policy, amb, dram in zip(policies, amb_c, dram_c):
             levels = policy._levels
@@ -110,7 +108,7 @@ class DTMTS(DTMPolicy):
                     emergency_level=level,
                 )
             decisions.append(decision)
-        return decisions, None
+        return decisions
 
     def reset(self) -> None:
         """Memory back on."""

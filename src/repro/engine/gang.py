@@ -19,7 +19,7 @@ chains per window.  Two modes, chosen by how much the cells share:
   broadcasts to every follower.  This is the mode that makes a
   homogeneous thermal-sensitivity sweep (e.g. a no-limit baseline
   under N inlet temperatures) cost roughly one cell's strategy work
-  plus N vectorized thermal lanes.
+  plus N thermal lanes.
 
 Bit-identity is the design constraint, not an afterthought: gangs call
 the exact :meth:`~repro.engine.stepping.SteppingEngine.begin_window` /
@@ -44,7 +44,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.core.kernel import BatchedMemSpot, GridMemSpot, _import_numpy
+from repro.core.kernel import BatchedMemSpot, GridMemSpot
 from repro.engine.observers import ProgressObserver, TraceRecorder
 from repro.engine.state import EngineState
 from repro.engine.stepping import SteppingEngine
@@ -100,15 +100,14 @@ class _VectorEpoch:
 
     One instance spans one membership generation of a gang (built
     lazily, dropped on retirement/restore/flush).  It shadows the
-    engine-owned per-window accounting in flat arrays — peaks, energy
-    integrals, clocks — and carries the per-policy-class grouping that
-    :meth:`~repro.dtm.base.DTMPolicy.decide_all` batches over, so the
-    per-window cost of N thermally-sensitive cells is a handful of
-    array operations plus the strategies' own scheduler work instead of
-    N full ``begin_window``/``apply_window`` round trips.  The arrays
-    are scattered back into the engines (and staged policy state
-    committed via ``apply_all``) at every point where engine or policy
-    state becomes externally visible.
+    engine-owned per-window accounting in per-cell lists — peaks,
+    energy integrals, clocks — and carries the per-policy-class
+    grouping that :meth:`~repro.dtm.base.DTMPolicy.decide_all` batches
+    over, so the per-window cost of N thermally-sensitive cells is one
+    pass over those lists plus the strategies' own scheduler work
+    instead of N full ``begin_window``/``apply_window`` round trips.
+    The lists are scattered back into the engines at every point where
+    engine state becomes externally visible.
     """
 
     __slots__ = (
@@ -118,7 +117,6 @@ class _VectorEpoch:
         "done_fns",
         "groups",
         "grid",
-        "np",
         "horizons",
         "min_horizon",
         "progress_observers",
@@ -139,11 +137,9 @@ class GangStrategy:
     """Drives N compatible engines window by window through one grid.
 
     ``mode`` is ``"lockstep"`` or ``"leader"`` (see the module
-    docstring); ``backend`` selects the
-    :class:`~repro.core.kernel.GridMemSpot` kernel backend.  The gang
-    owns no results — each engine finalizes its own, exactly as a solo
-    run would — and cells that finish early retire from the grid while
-    the rest keep stepping.
+    docstring).  The gang owns no results — each engine finalizes its
+    own, exactly as a solo run would — and cells that finish early
+    retire from the grid while the rest keep stepping.
     """
 
     def __init__(
@@ -151,7 +147,6 @@ class GangStrategy:
         engines: Sequence[SteppingEngine],
         *,
         mode: str = "lockstep",
-        backend: str = "auto",
     ) -> None:
         engines = list(engines)
         if not engines:
@@ -188,7 +183,6 @@ class GangStrategy:
         self.mode = mode
         self.dt_s = dt
         self._engines = engines
-        self._backend_choice = backend
         self._active = [
             index for index, engine in enumerate(engines) if not engine.done
         ]
@@ -225,11 +219,6 @@ class GangStrategy:
         return len(self._active)
 
     @property
-    def kernel_backend(self) -> str:
-        """The resolved grid backend for the current membership."""
-        return self._ensure_grid().backend if self._active else "python"
-
-    @property
     def done(self) -> bool:
         """Whether every cell has finished its batch."""
         return not self._active
@@ -239,14 +228,9 @@ class GangStrategy:
     def _ensure_grid(self) -> GridMemSpot:
         if self._grid is None:
             self._grid = GridMemSpot(
-                [self._engines[j].strategy.memspot for j in self._active],
-                backend=self._backend_choice,
+                [self._engines[j].strategy.memspot for j in self._active]
             )
         return self._grid
-
-    def _sync_grid(self) -> None:
-        if self._grid is not None:
-            self._grid.sync()
 
     def _sync_follower_strategies(self) -> None:
         """Overlay the leader's strategy state onto every follower.
@@ -278,11 +262,10 @@ class GangStrategy:
         still = [j for j in self._active if not self._engines[j].done]
         if len(still) == len(self._active):
             return
-        # Write thermal state back before shrinking the grid: retiring
-        # cells must leave with their final temperatures, and the next
-        # grid re-pulls the survivors'.
+        # The grid steps the cells' own kernels, so retiring cells leave
+        # with their final temperatures; the next grid holds only the
+        # survivors.
         self._sync_follower_strategies()
-        self._sync_grid()
         self._active = still
         self._active_engines = [self._engines[j] for j in still]
         self._grid = None
@@ -338,12 +321,11 @@ class GangStrategy:
             policy = strategy.dtm_policy
             group = groups.get(type(policy))
             if group is None:
-                groups[type(policy)] = group = [type(policy), [], [], None]
+                groups[type(policy)] = group = (type(policy), [], [])
             group[1].append(position)
             group[2].append(policy)
         ep.groups = list(groups.values())
         ep.grid = self._ensure_grid()
-        ep.np = _import_numpy() if ep.grid.backend == "numpy" else None
         ep.horizons = [s.max_sim_horizon() for s in strategies]
         ep.min_horizon = min(
             (h for h in ep.horizons if h is not None), default=None
@@ -354,53 +336,28 @@ class GangStrategy:
         ep.dram = [engine.sample.dram_c for engine in engines]
         ep.windows = [engine.windows for engine in engines]
         ep.now = [engine.now_s for engine in engines]
-        peak_amb = [engine.peak_amb_c for engine in engines]
-        peak_dram = [engine.peak_dram_c for engine in engines]
-        amb_int = [engine.ambient_integral for engine in engines]
-        mem_e = [engine.memory_energy_j for engine in engines]
-        cpu_e = [engine.cpu_energy_j for engine in engines]
-        if ep.np is not None:
-            np = ep.np
-            peak_amb = np.asarray(peak_amb, dtype=np.float64)
-            peak_dram = np.asarray(peak_dram, dtype=np.float64)
-            amb_int = np.asarray(amb_int, dtype=np.float64)
-            mem_e = np.asarray(mem_e, dtype=np.float64)
-            cpu_e = np.asarray(cpu_e, dtype=np.float64)
-        ep.peak_amb = peak_amb
-        ep.peak_dram = peak_dram
-        ep.amb_int = amb_int
-        ep.mem_e = mem_e
-        ep.cpu_e = cpu_e
+        ep.peak_amb = [engine.peak_amb_c for engine in engines]
+        ep.peak_dram = [engine.peak_dram_c for engine in engines]
+        ep.amb_int = [engine.ambient_integral for engine in engines]
+        ep.mem_e = [engine.memory_energy_j for engine in engines]
+        ep.cpu_e = [engine.cpu_energy_j for engine in engines]
         return ep
 
     def _scatter_vector_state(self, ep: _VectorEpoch) -> None:
         """Write the epoch's shadow accumulators into the engines."""
-        if ep.np is not None:
-            peak_amb = ep.peak_amb.tolist()
-            peak_dram = ep.peak_dram.tolist()
-            amb_int = ep.amb_int.tolist()
-            mem_e = ep.mem_e.tolist()
-            cpu_e = ep.cpu_e.tolist()
-        else:
-            peak_amb = ep.peak_amb
-            peak_dram = ep.peak_dram
-            amb_int = ep.amb_int
-            mem_e = ep.mem_e
-            cpu_e = ep.cpu_e
         for i, engine in enumerate(ep.engines):
-            engine.peak_amb_c = peak_amb[i]
-            engine.peak_dram_c = peak_dram[i]
-            engine.ambient_integral = amb_int[i]
-            engine.memory_energy_j = mem_e[i]
-            engine.cpu_energy_j = cpu_e[i]
+            engine.peak_amb_c = ep.peak_amb[i]
+            engine.peak_dram_c = ep.peak_dram[i]
+            engine.ambient_integral = ep.amb_int[i]
+            engine.memory_energy_j = ep.mem_e[i]
+            engine.cpu_energy_j = ep.cpu_e[i]
             engine.windows = ep.windows[i]
             engine.now_s = ep.now[i]
 
     def _flush_vector(self) -> None:
         """Fully commit and drop a live vector epoch.
 
-        Engine accumulators, staged policy state (``apply_all``),
-        thermal state, and each engine's live ``sample`` all become
+        Engine accumulators and each engine's live ``sample`` become
         consistent with what per-cell stepping would have left — the
         same boundary contract :meth:`SteppingEngine.restore` relies
         on (``sample()`` at a window boundary equals the last step's
@@ -411,11 +368,6 @@ class GangStrategy:
             return
         self._vector = None
         self._scatter_vector_state(ep)
-        for group in ep.groups:
-            cls, _positions, policies, pending = group
-            cls.apply_all(policies, pending)
-            group[3] = None
-        self._sync_grid()
         for engine in ep.engines:
             engine.sample = engine.strategy.memspot.sample()
 
@@ -440,20 +392,16 @@ class GangStrategy:
         dram = ep.dram
         groups = ep.groups
         if len(groups) == 1:
-            group = groups[0]
-            decisions, group[3] = group[0].decide_all(
-                group[2], amb, dram, dt, group[3]
-            )
+            cls, _positions, policies = groups[0]
+            decisions = cls.decide_all(policies, amb, dram, dt)
         else:
             decisions = [None] * count
-            for group in groups:
-                cls, positions, policies, pending = group
-                got, group[3] = cls.decide_all(
+            for cls, positions, policies in groups:
+                got = cls.decide_all(
                     policies,
                     [amb[i] for i in positions],
                     [dram[i] for i in positions],
                     dt,
-                    pending,
                 )
                 for i, decision in zip(positions, got):
                     decisions[i] = decision
@@ -464,7 +412,7 @@ class GangStrategy:
             for fn, engine, decision in zip(ep.window_fns, engines, decisions)
         ]
 
-        # One grid step for all thermal chains, no sample objects.
+        # One grid step for all thermal chains, as per-field lists.
         amb_peak, dram_peak, ambient_c, power = ep.grid.step_all_raw(
             [o.read_bytes_per_s for o in outcomes],
             [o.write_bytes_per_s for o in outcomes],
@@ -472,36 +420,23 @@ class GangStrategy:
             dt,
         )
 
-        # apply_window accounting over flat arrays — elementwise, so
-        # bit-identical to the per-cell max/multiply/add sequence.
-        np = ep.np
-        if np is not None:
-            ep.peak_amb = np.maximum(ep.peak_amb, amb_peak)
-            ep.peak_dram = np.maximum(ep.peak_dram, dram_peak)
-            ep.amb_int = ep.amb_int + ambient_c * dt
-            ep.mem_e = ep.mem_e + power * dt
-            cpu_w = np.asarray(
-                [o.cpu_power_w for o in outcomes], dtype=np.float64
-            )
-            ep.cpu_e = ep.cpu_e + cpu_w * dt
-            ep.amb = amb_peak.tolist()
-            ep.dram = dram_peak.tolist()
-        else:
-            peak_amb = ep.peak_amb
-            peak_dram = ep.peak_dram
-            amb_int = ep.amb_int
-            mem_e = ep.mem_e
-            cpu_e = ep.cpu_e
-            for i in range(count):
-                if amb_peak[i] > peak_amb[i]:
-                    peak_amb[i] = amb_peak[i]
-                if dram_peak[i] > peak_dram[i]:
-                    peak_dram[i] = dram_peak[i]
-                amb_int[i] += ambient_c[i] * dt
-                mem_e[i] += power[i] * dt
-                cpu_e[i] += outcomes[i].cpu_power_w * dt
-            ep.amb = amb_peak
-            ep.dram = dram_peak
+        # apply_window accounting, per cell — the same max/multiply/add
+        # sequence a solo engine runs.
+        peak_amb = ep.peak_amb
+        peak_dram = ep.peak_dram
+        amb_int = ep.amb_int
+        mem_e = ep.mem_e
+        cpu_e = ep.cpu_e
+        for i in range(count):
+            if amb_peak[i] > peak_amb[i]:
+                peak_amb[i] = amb_peak[i]
+            if dram_peak[i] > peak_dram[i]:
+                peak_dram[i] = dram_peak[i]
+            amb_int[i] += ambient_c[i] * dt
+            mem_e[i] += power[i] * dt
+            cpu_e[i] += outcomes[i].cpu_power_w * dt
+        ep.amb = amb_peak
+        ep.dram = dram_peak
 
         # Clock advance plus the progress-observer cadence.
         windows = ep.windows
@@ -603,7 +538,6 @@ class GangStrategy:
         """Finalize every cell (idempotent), in gang order."""
         self._flush_vector()
         self._sync_follower_strategies()
-        self._sync_grid()
         return [engine.finish() for engine in self._engines]
 
     # -- checkpoint / restore ----------------------------------------------
@@ -611,15 +545,14 @@ class GangStrategy:
     def checkpoint(self) -> list[EngineState]:
         """Per-cell snapshots at the current window boundary.
 
-        Thermal state is synced out of the grid and leader-mode
-        follower strategies adopt the leader's state first, so each
+        The vector epoch is flushed and leader-mode follower
+        strategies adopt the leader's state first, so each
         snapshot equals the one a solo run of that cell would have
         written — restoring into fresh solo engines (or a fresh gang)
         resumes bit-identically.
         """
         self._flush_vector()
         self._sync_follower_strategies()
-        self._sync_grid()
         return [engine.checkpoint() for engine in self._engines]
 
     def restore(self, states: Sequence[EngineState]) -> None:
@@ -637,7 +570,7 @@ class GangStrategy:
             if not engine.done
         ]
         self._active_engines = [self._engines[j] for j in self._active]
-        self._grid = None  # re-pull restored thermal state lazily
+        self._grid = None  # membership may have changed; rebuild lazily
         self._vector = None  # shadow state is stale; rebuild lazily
 
 
@@ -673,7 +606,6 @@ def plan_gangs(
     cells: Sequence[tuple[str, Any]],
     *,
     batch_cells: int = 16,
-    backend: str = "auto",
 ) -> GangPlan:
     """Group campaign cells into executable gangs.
 
@@ -717,7 +649,6 @@ def plan_gangs(
                     gang=GangStrategy(
                         [engine for _, _, engine in chunk],
                         mode=mode,
-                        backend=backend,
                     ),
                 )
             )

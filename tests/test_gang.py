@@ -109,11 +109,10 @@ def test_gang_strategy_validation():
 # -- bit-identity -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["python", "auto"])
-def test_gang_results_match_serial_bit_for_bit(backend):
+def test_gang_results_match_serial_bit_for_bit():
     specs = list(_LEADER_FAMILY) + list(_LOCKSTEP_PAIR)
     serial = _serial_payloads(specs)
-    plan = plan_gangs(_cells(specs), batch_cells=16, backend=backend)
+    plan = plan_gangs(_cells(specs), batch_cells=16)
     assert not plan.solo
     for planned in plan.gangs:
         for (key, spec), result in zip(
@@ -141,9 +140,7 @@ from repro.engine import EngineState, GangStrategy
 request = json.load(sys.stdin)
 specs = [cell_from_wire(raw) for raw in request["cells"]]
 gang = GangStrategy(
-    [engine_for_spec(spec) for spec in specs],
-    mode=request["mode"],
-    backend="python",
+    [engine_for_spec(spec) for spec in specs], mode=request["mode"]
 )
 gang.restore([EngineState.from_dict(raw) for raw in request["states"]])
 payloads = [
@@ -165,7 +162,7 @@ def test_gang_checkpoint_restores_bit_identically_in_fresh_process(
     from repro.cluster.wire import cell_to_wire
 
     serial = _serial_payloads(specs)
-    plan = plan_gangs(_cells(specs), batch_cells=16, backend="python")
+    plan = plan_gangs(_cells(specs), batch_cells=16)
     (planned,) = plan.gangs
     assert planned.gang.mode == mode
     assert planned.gang.step_windows(211) == 211
@@ -215,8 +212,6 @@ def test_vector_backend_matches_serial_campaign():
 def test_vector_backend_validation():
     with pytest.raises(ConfigurationError, match="batch_cells"):
         VectorBackend(batch_cells=1)
-    with pytest.raises(ConfigurationError, match="kernel backend"):
-        VectorBackend(kernel_backend="fortran")
 
 
 def test_backend_for_vector_wiring():
@@ -290,11 +285,11 @@ def test_checkpoint_file_written_via_serializer_loads_identically(tmp_path):
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-#: Policy families the vectorized lockstep path must reproduce
+#: Policy families the batched lockstep path must reproduce
 #: bit-for-bit: table-driven (ts), latch-driven (bw), multi-actuator
-#: (comb), and the array-backed PID controller — alone and mixed, so
-#: both the single-group decide_all fast case and the multi-group
-#: scatter path are exercised.
+#: (comb), and the PID controller — alone and mixed, so both the
+#: single-group decide_all fast case and the multi-group scatter path
+#: are exercised.
 _LOCKSTEP_FAMILIES = (
     ("ts",),
     ("bw",),
@@ -320,21 +315,19 @@ def _lockstep_specs(policies, delta_step):
         min_value=0.01, max_value=0.75,
         allow_nan=False, allow_infinity=False,
     ),
-    backend=st.sampled_from(("python", "auto")),
     windows=st.integers(min_value=40, max_value=160),
 )
 def test_lockstep_gang_prefix_bitwise_identical_to_solo(
-    policies, delta_step, backend, windows
+    policies, delta_step, windows
 ):
     """Property: any thermally-sensitive gang's full engine state after
     N windows — temperatures, energy integrals, scheduler, policy
-    latches and PID integrals — equals the solo engines' bit for bit,
-    on both kernel backends."""
+    latches and PID integrals — equals the solo engines' bit for bit."""
     specs = _lockstep_specs(policies, delta_step)
     solo = [engine_for_spec(spec) for spec in specs]
     for engine in solo:
         engine.step_windows(windows)
-    plan = plan_gangs(_cells(specs), batch_cells=16, backend=backend)
+    plan = plan_gangs(_cells(specs), batch_cells=16)
     assert len(plan.gangs) == 1 and not plan.solo
     gang = plan.gangs[0].gang
     assert gang.mode == "lockstep"
@@ -344,28 +337,74 @@ def test_lockstep_gang_prefix_bitwise_identical_to_solo(
     assert gang_states == solo_states
 
 
-def test_lockstep_gang_identity_without_numpy(monkeypatch):
-    """The pure-python vector path (no NumPy importable at all) stays
-    bit-identical to solo engines, and the gang metrics register."""
-    import repro.core.kernel as kernel
-    from repro.obs.metrics import METRICS
+#: Fresh-interpreter script with NumPy made unimportable before
+#: ``repro`` loads: a mixed lockstep gang and its solo twins step the
+#: same windows; prints both checkpoints and the gang metric names.
+_NO_NUMPY_SCRIPT = """
+import json, sys
+sys.modules["numpy"] = None  # any ``import numpy`` now raises
+sys.path.insert(0, {src!r})
+from dataclasses import replace
+import repro.analysis.specs  # registers the ch4/ch5 spec types
+from repro.analysis.specs import Chapter4Spec
+from repro.campaign.spec import engine_for_spec, spec_key
+from repro.engine import plan_gangs
+from repro.obs.metrics import METRICS
 
-    monkeypatch.setattr(kernel, "_import_numpy", lambda: None)
-    specs = _lockstep_specs(("ts", "bw+pid"), 0.4)
-    solo = [engine_for_spec(spec) for spec in specs]
-    for engine in solo:
-        engine.step_windows(120)
-    plan = plan_gangs(_cells(specs), batch_cells=16)
-    gang = plan.gangs[0].gang
-    assert gang.kernel_backend == "python"
-    gang.step_windows(120)
-    assert [s.to_dict() for s in gang.checkpoint()] == [
-        e.checkpoint().to_dict() for e in solo
-    ]
-    rendered = METRICS.render_text()
-    for name in (
+base = Chapter4Spec(mix="W1", policy="no-limit", copies=1)
+# One no-limit cell: with no leader partner it joins the lockstep gang.
+specs = [
+    replace(base, policy=policy, inlet_delta_c=0.4 * i)
+    for policy in ("ts", "bw+pid", "comb")
+    for i in range(2)
+] + [base]
+solo = [engine_for_spec(spec) for spec in specs]
+for engine in solo:
+    engine.step_windows(120)
+plan = plan_gangs([(spec_key(s), s) for s in specs], batch_cells=16)
+modes = [planned.gang.mode for planned in plan.gangs]
+order = [spec for planned in plan.gangs for _, spec in planned.cells]
+for planned in plan.gangs:
+    planned.gang.step_windows(120)
+gang_states = [
+    state.to_dict() for planned in plan.gangs for state in planned.gang.checkpoint()
+]
+solo_states = [solo[specs.index(spec)].checkpoint().to_dict() for spec in order]
+rendered = METRICS.render_text()
+print(json.dumps({{
+    "modes": modes,
+    "solo_cells": len(plan.solo),
+    "identical": gang_states == solo_states,
+    "numpy_loaded": sys.modules.get("numpy") is not None,
+    "metrics": [
+        name for name in (
+            "repro_gang_planned_total",
+            "repro_gang_cells_total",
+            "repro_gang_step_path_total",
+        ) if name in rendered
+    ],
+}}))
+"""
+
+
+def test_lockstep_gang_identity_without_numpy():
+    """With NumPy unimportable, a mixed ts/bw+pid/comb/no-limit gang
+    steps bit-identically to solo engines, and the gang metrics
+    register: nothing on the gang path needs NumPy."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT.format(src=str(SRC_DIR))],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["modes"] == ["lockstep"]
+    assert report["solo_cells"] == 0
+    assert report["identical"]
+    assert not report["numpy_loaded"]
+    assert report["metrics"] == [
         "repro_gang_planned_total",
         "repro_gang_cells_total",
         "repro_gang_step_path_total",
-    ):
-        assert name in rendered
+    ]

@@ -3,15 +3,9 @@
 The acceptance property (hypothesis, derandomized for CI): stack N
 heterogeneous :class:`BatchedMemSpot` cells into one
 :class:`GridMemSpot`, drive both through the same traffic stream, and
-every per-window :class:`MemSpotSample` — and the final synced thermal
-state — is *exactly* equal (``==`` on floats, no tolerance) to stepping
-each cell alone.  The property must hold for the pure-python backend
-(true by construction) and, when NumPy is importable, for the numpy
-backend (true because the array path replays the scalar expressions
-with IEEE-correctly-rounded elementwise ops only).
-
-NumPy optionality is covered explicitly: ``backend="auto"`` falls back
-to python when the import fails, ``backend="numpy"`` refuses loudly.
+every per-window :class:`MemSpotSample` — and the final thermal state
+— is *exactly* equal (``==`` on floats, no tolerance) to stepping each
+cell alone.
 """
 
 from __future__ import annotations
@@ -20,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.kernel as kernel_module
 from repro.core.kernel import BatchedMemSpot, GridMemSpot, MemSpot
 from repro.errors import ConfigurationError
 from repro.params import (
@@ -36,14 +29,6 @@ _VALID_THERMAL = tuple(
     for cooling in ("AOHS_1.5", "FDHS_1.0")
     for ambient in (ISOLATED_AMBIENT, INTEGRATED_AMBIENT)
 )
-
-_BACKENDS = ("python", "numpy")
-
-
-def _require_backend(backend: str) -> None:
-    if backend == "numpy":
-        pytest.importorskip("numpy")
-
 
 def _make_cell(thermal_index: int, channels: int, dimms: int, warm: bool):
     cooling, ambient = _VALID_THERMAL[thermal_index % len(_VALID_THERMAL)]
@@ -90,17 +75,14 @@ def _grid_case(draw):
     return dimms, cells, windows
 
 
-@pytest.mark.parametrize("backend", _BACKENDS)
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(case=_grid_case())
-def test_grid_step_is_bitwise_identical_to_per_cell(backend, case):
+def test_grid_step_is_bitwise_identical_to_per_cell(case):
     """N stacked cells == N solo cells, sample by sample, bit for bit."""
-    _require_backend(backend)
     dimms, cell_params, windows = case
     reference = [_make_cell(t, ch, dimms, w) for t, ch, w in cell_params]
     stacked = [_make_cell(t, ch, dimms, w) for t, ch, w in cell_params]
-    grid = GridMemSpot(stacked, backend=backend)
-    assert grid.backend == backend
+    grid = GridMemSpot(stacked)
 
     for reads, writes, heats, in windows:
         grid_samples = grid.step_all(reads, writes, heats, 0.01)
@@ -110,52 +92,32 @@ def test_grid_step_is_bitwise_identical_to_per_cell(backend, case):
             expected = cell.step(read, write, heat, 0.01)
             assert got == expected
 
-    grid.sync()
     for cell, ref in zip(stacked, reference):
         assert cell.thermal_state() == ref.thermal_state()
 
 
-@pytest.mark.parametrize("backend", _BACKENDS)
-def test_grid_survives_membership_change_mid_stream(backend):
-    """Rebuilding a smaller grid from synced cells continues bit-exactly
-
-    (the gang retirement path: cells leave, the survivors' next grid
-    re-pulls their state)."""
-    _require_backend(backend)
+def test_grid_survives_membership_change_mid_stream():
+    """Rebuilding a smaller grid from the same cells continues
+    bit-exactly (the gang retirement path: cells leave, the survivors
+    form the next grid)."""
     reference = [_make_cell(i, 4, 4, True) for i in range(3)]
     stacked = [_make_cell(i, 4, 4, True) for i in range(3)]
 
-    grid = GridMemSpot(stacked, backend=backend)
+    grid = GridMemSpot(stacked)
     for _ in range(40):
         grid.step_all([4e9] * 3, [2e9] * 3, [24.0] * 3, 0.01)
         for cell in reference:
             cell.step(4e9, 2e9, 24.0, 0.01)
-    grid.sync()
 
-    survivors = GridMemSpot(stacked[:2], backend=backend)
+    survivors = GridMemSpot(stacked[:2])
     for _ in range(40):
         survivors.step_all([1e9] * 2, [8e9] * 2, [12.0] * 2, 0.01)
         for cell in reference[:2]:
             cell.step(1e9, 8e9, 12.0, 0.01)
-    survivors.sync()
     for cell, ref in zip(stacked[:2], reference[:2]):
         assert cell.thermal_state() == ref.thermal_state()
     # The retired cell kept its state from the first grid.
     assert stacked[2].thermal_state() == reference[2].thermal_state()
-
-
-def test_auto_backend_falls_back_to_python(monkeypatch):
-    monkeypatch.setattr(kernel_module, "_import_numpy", lambda: None)
-    grid = GridMemSpot([_make_cell(0, 4, 4, True)], backend="auto")
-    assert grid.backend == "python"
-    (sample,) = grid.step_all([1e9], [1e9], [10.0], 0.01)
-    assert sample == _make_cell(0, 4, 4, True).step(1e9, 1e9, 10.0, 0.01)
-
-
-def test_numpy_backend_refuses_without_numpy(monkeypatch):
-    monkeypatch.setattr(kernel_module, "_import_numpy", lambda: None)
-    with pytest.raises(ConfigurationError, match="requires NumPy"):
-        GridMemSpot([_make_cell(0, 4, 4, True)], backend="numpy")
 
 
 def test_grid_validation_errors():
@@ -166,15 +128,31 @@ def test_grid_validation_errors():
         GridMemSpot([MemSpot(cooling, ambient)])
     with pytest.raises(ConfigurationError, match="share the RC topology"):
         GridMemSpot([_make_cell(0, 4, 2, True), _make_cell(0, 4, 4, True)])
-    with pytest.raises(ConfigurationError, match="backend"):
-        GridMemSpot([_make_cell(0, 4, 4, True)], backend="fortran")
 
 
-@pytest.mark.parametrize("backend", _BACKENDS)
-def test_grid_step_input_validation(backend):
-    _require_backend(backend)
-    grid = GridMemSpot([_make_cell(0, 4, 4, True)], backend=backend)
+def test_grid_step_input_validation():
+    grid = GridMemSpot([_make_cell(0, 4, 4, True)])
     with pytest.raises(ConfigurationError):
         grid.step_all([1e9, 1e9], [1e9], [0.0], 0.01)
     with pytest.raises(ConfigurationError):
         grid.step_all([-1.0], [0.0], [0.0], 0.01)
+
+
+def test_grid_raw_and_uniform_steps_match_step_all():
+    """step_all_raw's per-field lists and step_all_uniform's shared
+    input give exactly the samples step_all does."""
+    grids = [GridMemSpot([_make_cell(i, 4, 4, True) for i in range(3)])
+             for _ in range(3)]
+    for _ in range(30):
+        samples = grids[0].step_all([4e9] * 3, [2e9] * 3, [24.0] * 3, 0.01)
+        raw = grids[1].step_all_raw([4e9] * 3, [2e9] * 3, [24.0] * 3, 0.01)
+        uniform = grids[2].step_all_uniform(4e9, 2e9, 24.0, 0.01)
+        assert uniform == samples
+        assert raw == (
+            [s.amb_c for s in samples],
+            [s.dram_c for s in samples],
+            [s.ambient_c for s in samples],
+            [s.memory_power_w for s in samples],
+        )
+    with pytest.raises(ConfigurationError, match="one input per cell"):
+        grids[1].step_all_raw([1e9], [1e9], [0.0], 0.01)

@@ -12,17 +12,14 @@ diffable JSON file instead of anecdotes.  Current probes:
   one on an identical window stream (the PR 2 speedup, tracked).
 - ``gang_vs_serial`` — a 32-cell homogeneous no-limit grid (an inlet
   sweep) per-cell serial vs one leader gang lock-stepped through
-  ``GridMemSpot``, on the pure-python backend and (when importable)
-  the NumPy one.  Per-cell payloads are asserted byte-identical to
-  the serial baseline, and the speedups are asserted against floors
-  (>= 1.2x pure python, >= 3x NumPy) so a vectorization regression
-  fails the bench instead of drifting.
+  ``GridMemSpot``.  Per-cell payloads are asserted byte-identical to
+  the serial baseline, and the speedup is asserted against a >= 1.2x
+  floor so a gang regression fails the bench instead of drifting.
 - ``lockstep_gang_vs_serial`` — the same grid shape under DTM-TS
   (thermally sensitive, so no leader shortcut exists): per-cell
   serial vs one lockstep gang driving batched ``decide_all``, the
   steady-state window cache, and flat per-window accounting.
-  Byte-identical payloads asserted, floors >= 1.1x pure python and
-  >= 2x NumPy.
+  Byte-identical payloads asserted, floor >= 1.1x.
 - ``fleet_vector_vs_fleet_serial`` — a 16-cell DTM-TS sweep over a
   2-worker fleet, per-cell dispatch vs gang-aware dispatch
   (``batch_cells=8``: one whole gang per worker, lock-stepped there),
@@ -100,7 +97,7 @@ from repro.campaign import (  # noqa: E402
 )
 from repro.campaign.spec import runner_for  # noqa: E402
 from repro.cluster import HttpWorkerBackend, LocalFleet  # noqa: E402
-from repro.core.kernel import BatchedMemSpot, _import_numpy  # noqa: E402
+from repro.core.kernel import BatchedMemSpot  # noqa: E402
 from repro.engine import plan_gangs  # noqa: E402
 from repro.core.memspot import MemSpot  # noqa: E402
 from repro.engine import (  # noqa: E402
@@ -184,10 +181,9 @@ def bench_kernel_window_stream(repeats: int) -> dict:
     }
 
 
-#: Speedup floors for the gang bench (the PR 6 acceptance bar): losing
-#: grid vectorization shows up as a failed bench run, not silent drift.
+#: Speedup floor for the gang bench: losing the gang speedup shows up
+#: as a failed bench run, not silent drift.
 GANG_MIN_SPEEDUP_PYTHON = 1.2
-GANG_MIN_SPEEDUP_NUMPY = 3.0
 
 
 def bench_gang_vs_serial(repeats: int, cells: int = 32) -> dict:
@@ -195,7 +191,7 @@ def bench_gang_vs_serial(repeats: int, cells: int = 32) -> dict:
 
     All cells share the workload axes and the no-limit policy is
     thermally insensitive, so the whole grid forms a single leader
-    gang — the best case grid vectorization exists for.  Reps are
+    gang — the best case gangs exist for.  Reps are
     interleaved so machine-load drift hits every variant equally; the
     per-cell payloads must equal the serial baseline's byte for byte.
     """
@@ -216,11 +212,11 @@ def bench_gang_vs_serial(repeats: int, cells: int = 32) -> dict:
         }
         return time.perf_counter() - started, payloads
 
-    def gang_once(backend: str) -> tuple[float, dict[str, dict]]:
+    def gang_once() -> tuple[float, dict[str, dict]]:
         # Planning (and therefore engine construction) is part of the
         # timed region, mirroring the serial side's engine_for_spec.
         started = time.perf_counter()
-        plan = plan_gangs(grid, batch_cells=len(grid), backend=backend)
+        plan = plan_gangs(grid, batch_cells=len(grid))
         assert not plan.solo and len(plan.gangs) == 1, "expected one gang"
         (planned,) = plan.gangs
         assert planned.gang.mode == "leader", planned.gang.mode
@@ -232,9 +228,8 @@ def bench_gang_vs_serial(repeats: int, cells: int = 32) -> dict:
         }
         return time.perf_counter() - started, payloads
 
-    backends = ["python"] + (["numpy"] if _import_numpy() is not None else [])
     serial_samples: list[float] = []
-    gang_samples: dict[str, list[float]] = {name: [] for name in backends}
+    gang_samples: list[float] = []
     baseline: dict[str, dict] | None = None
     for _ in range(repeats):
         seconds, payloads = serial_once()
@@ -242,48 +237,39 @@ def bench_gang_vs_serial(repeats: int, cells: int = 32) -> dict:
         if baseline is None:
             baseline = payloads
         assert payloads == baseline, "serial reps must be deterministic"
-        for name in backends:
-            seconds, payloads = gang_once(name)
-            gang_samples[name].append(seconds)
-            assert payloads == baseline, (
-                f"gang ({name}) payloads differ from the serial baseline"
-            )
+        seconds, payloads = gang_once()
+        gang_samples.append(seconds)
+        assert payloads == baseline, (
+            "gang payloads differ from the serial baseline"
+        )
 
     best_serial = min(serial_samples)
-    result = {
+    best = min(gang_samples)
+    speedup = best_serial / best
+    floor = GANG_MIN_SPEEDUP_PYTHON
+    assert speedup >= floor, (
+        f"gang speedup {speedup:.2f}x fell below the {floor}x floor "
+        f"(serial {best_serial:.3f}s vs gang {best:.3f}s)"
+    )
+    return {
         "description": (
             f"{cells}-cell homogeneous W1/no-limit inlet sweep: per-cell "
             f"serial vs one leader gang (payloads byte-identical)"
         ),
         "cells": cells,
         "serial_seconds": round(best_serial, 4),
-        "numpy_available": "numpy" in backends,
+        "gang_python_seconds": round(best, 4),
+        "speedup_python": round(speedup, 3),
+        "min_speedup_python": floor,
     }
-    for name in backends:
-        best = min(gang_samples[name])
-        speedup = best_serial / best
-        floor = (
-            GANG_MIN_SPEEDUP_NUMPY
-            if name == "numpy"
-            else GANG_MIN_SPEEDUP_PYTHON
-        )
-        assert speedup >= floor, (
-            f"gang ({name}) speedup {speedup:.2f}x fell below the "
-            f"{floor}x floor (serial {best_serial:.3f}s vs gang {best:.3f}s)"
-        )
-        result[f"gang_{name}_seconds"] = round(best, 4)
-        result[f"speedup_{name}"] = round(speedup, 3)
-        result[f"min_speedup_{name}"] = floor
-    return result
 
 
-#: Speedup floors for the thermally-sensitive lockstep bench (the
-#: PR 10 acceptance bar).  Lower than the leader-gang floors: every
-#: cell runs its own policy and window model here, so the win comes
-#: from batched decide_all, the steady-state window cache, and flat
-#: per-window accounting, not from sharing one leader's work.
+#: Speedup floor for the thermally-sensitive lockstep bench.  Lower
+#: than the leader-gang floor: every cell runs its own policy and
+#: window model here, so the win comes from batched decide_all, the
+#: steady-state window cache, and flat per-window accounting, not
+#: from sharing one leader's work.
 LOCKSTEP_MIN_SPEEDUP_PYTHON = 1.1
-LOCKSTEP_MIN_SPEEDUP_NUMPY = 2.0
 
 
 def bench_lockstep_gang_vs_serial(repeats: int, cells: int = 32) -> dict:
@@ -292,7 +278,7 @@ def bench_lockstep_gang_vs_serial(repeats: int, cells: int = 32) -> dict:
     Same shape as :func:`bench_gang_vs_serial` but under DTM-TS, whose
     decisions read the temperatures — no leader shortcut exists, so
     the gang must step every cell's policy and scheduler and the
-    speedup measures the vectorized lockstep path itself.  Per-cell
+    speedup measures the batched lockstep path itself.  Per-cell
     payloads are asserted byte-identical to the serial baseline.
     """
     specs = [
@@ -312,9 +298,9 @@ def bench_lockstep_gang_vs_serial(repeats: int, cells: int = 32) -> dict:
         }
         return time.perf_counter() - started, payloads
 
-    def gang_once(backend: str) -> tuple[float, dict[str, dict]]:
+    def gang_once() -> tuple[float, dict[str, dict]]:
         started = time.perf_counter()
-        plan = plan_gangs(grid, batch_cells=len(grid), backend=backend)
+        plan = plan_gangs(grid, batch_cells=len(grid))
         assert not plan.solo and len(plan.gangs) == 1, "expected one gang"
         (planned,) = plan.gangs
         assert planned.gang.mode == "lockstep", planned.gang.mode
@@ -326,9 +312,8 @@ def bench_lockstep_gang_vs_serial(repeats: int, cells: int = 32) -> dict:
         }
         return time.perf_counter() - started, payloads
 
-    backends = ["python"] + (["numpy"] if _import_numpy() is not None else [])
     serial_samples: list[float] = []
-    gang_samples: dict[str, list[float]] = {name: [] for name in backends}
+    gang_samples: list[float] = []
     baseline: dict[str, dict] | None = None
     for _ in range(repeats):
         seconds, payloads = serial_once()
@@ -336,16 +321,21 @@ def bench_lockstep_gang_vs_serial(repeats: int, cells: int = 32) -> dict:
         if baseline is None:
             baseline = payloads
         assert payloads == baseline, "serial reps must be deterministic"
-        for name in backends:
-            seconds, payloads = gang_once(name)
-            gang_samples[name].append(seconds)
-            assert payloads == baseline, (
-                f"lockstep gang ({name}) payloads differ from the "
-                f"serial baseline"
-            )
+        seconds, payloads = gang_once()
+        gang_samples.append(seconds)
+        assert payloads == baseline, (
+            "lockstep gang payloads differ from the serial baseline"
+        )
 
     best_serial = min(serial_samples)
-    result = {
+    best = min(gang_samples)
+    speedup = best_serial / best
+    floor = LOCKSTEP_MIN_SPEEDUP_PYTHON
+    assert speedup >= floor, (
+        f"lockstep gang speedup {speedup:.2f}x fell below the {floor}x "
+        f"floor (serial {best_serial:.3f}s vs gang {best:.3f}s)"
+    )
+    return {
         "description": (
             f"{cells}-cell thermally-sensitive W1/ts inlet sweep: "
             f"per-cell serial vs one lockstep gang (payloads "
@@ -353,25 +343,10 @@ def bench_lockstep_gang_vs_serial(repeats: int, cells: int = 32) -> dict:
         ),
         "cells": cells,
         "serial_seconds": round(best_serial, 4),
-        "numpy_available": "numpy" in backends,
+        "gang_python_seconds": round(best, 4),
+        "speedup_python": round(speedup, 3),
+        "min_speedup_python": floor,
     }
-    for name in backends:
-        best = min(gang_samples[name])
-        speedup = best_serial / best
-        floor = (
-            LOCKSTEP_MIN_SPEEDUP_NUMPY
-            if name == "numpy"
-            else LOCKSTEP_MIN_SPEEDUP_PYTHON
-        )
-        assert speedup >= floor, (
-            f"lockstep gang ({name}) speedup {speedup:.2f}x fell below "
-            f"the {floor}x floor (serial {best_serial:.3f}s vs gang "
-            f"{best:.3f}s)"
-        )
-        result[f"gang_{name}_seconds"] = round(best, 4)
-        result[f"speedup_{name}"] = round(speedup, 3)
-        result[f"min_speedup_{name}"] = floor
-    return result
 
 
 #: Floor for gang-aware fleet dispatch vs per-cell dispatch on the
@@ -1098,10 +1073,6 @@ def main(argv: list[str] | None = None) -> int:
         ) + (
             f" (gang python {bench['speedup_python']}x)"
             if "speedup_python" in bench
-            else ""
-        ) + (
-            f" (gang numpy {bench['speedup_numpy']}x)"
-            if "speedup_numpy" in bench
             else ""
         ) + (
             f" (speedup vs serial {bench['speedup_vs_serial']}x)"
