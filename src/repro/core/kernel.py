@@ -15,8 +15,10 @@ hop counts, the Table 3.2 resistances, and the three RC gains
 flat lists.  One :meth:`step` is then a single pass of scalar float
 arithmetic: no dataclasses, no per-node dispatch, no repeated ``exp()``.
 
-:class:`GridMemSpot` is the gang entry point: N compatible cells, one
-call per window, each lane the cell's own :meth:`BatchedMemSpot.step`.
+:class:`GridMemSpot` is the lane loop's entry point: N >= 1 compatible
+cells, one call per window, each lane the cell's own
+:meth:`BatchedMemSpot.step_raw` (the sample-free tuple form of
+:meth:`BatchedMemSpot.step`).
 It is the only grid implementation; its docstring records why there is
 no array backend.
 
@@ -237,6 +239,23 @@ class BatchedMemSpot:
         dt_s: float,
     ) -> MemSpotSample:
         """Advance the thermal state by one window (see MemSpot.step)."""
+        return MemSpotSample(
+            *self.step_raw(
+                read_bytes_per_s, write_bytes_per_s, cpu_heating_sum, dt_s
+            )
+        )
+
+    def step_raw(
+        self,
+        read_bytes_per_s: float,
+        write_bytes_per_s: float,
+        cpu_heating_sum: float,
+        dt_s: float,
+    ) -> tuple[float, float, float, float]:
+        """:meth:`step` as a bare ``(amb_c, dram_c, ambient_c,
+        memory_power_w)`` tuple — the lane loop's per-window call,
+        which reads the four fields and never needs the sample object.
+        """
         if read_bytes_per_s < 0 or write_bytes_per_s < 0:
             raise ConfigurationError("channel throughput must be non-negative")
         if dt_s != self._gain_dt:
@@ -262,12 +281,16 @@ class BatchedMemSpot:
         )
 
         # One flat pass over the chain: Eq. 3.2 power, Eq. 3.3/3.4 stable
-        # points, Eq. 3.5 RC update.
+        # points, Eq. 3.5 RC update.  Products that do not depend on the
+        # chain position are taken once; each is a whole operand of a
+        # left-to-right sum, so the sums round exactly as before.  The
+        # running maxima use plain comparisons: ``max(a, b)`` keeps
+        # ``a`` unless ``b > a``, which is this test, bit for bit.
         beta = self._beta
-        gamma = self._gamma
+        local_w = self._gamma * local_gbps
+        dram_to_amb = dram_w * self._psi_dram_amb
+        dram_to_dram = dram_w * self._psi_dram
         psi_amb = self._psi_amb
-        psi_dram_amb = self._psi_dram_amb
-        psi_dram = self._psi_dram
         psi_amb_dram = self._psi_amb_dram
         gain_amb = self._gain_amb
         gain_dram = self._gain_dram
@@ -279,22 +302,19 @@ class BatchedMemSpot:
         dram_c = -273.15
         total_power = 0.0
         for i in range(n):
-            amb_w = idle_w[i] + beta * ((total * hops[i] / n) / GB) + gamma * local_gbps
-            stable_amb = ambient_c + amb_w * psi_amb + dram_w * psi_dram_amb
-            stable_dram = ambient_c + amb_w * psi_amb_dram + dram_w * psi_dram
+            amb_w = idle_w[i] + beta * ((total * hops[i] / n) / GB) + local_w
+            stable_amb = ambient_c + amb_w * psi_amb + dram_to_amb
+            stable_dram = ambient_c + amb_w * psi_amb_dram + dram_to_dram
             ta = t_amb[i] + (stable_amb - t_amb[i]) * gain_amb
             td = t_dram[i] + (stable_dram - t_dram[i]) * gain_dram
             t_amb[i] = ta
             t_dram[i] = td
-            amb_c = max(amb_c, ta)
-            dram_c = max(dram_c, td)
+            if ta > amb_c:
+                amb_c = ta
+            if td > dram_c:
+                dram_c = td
             total_power += amb_w + dram_w
-        return MemSpotSample(
-            amb_c=amb_c,
-            dram_c=dram_c,
-            ambient_c=ambient_c,
-            memory_power_w=total_power * channels,
-        )
+        return amb_c, dram_c, ambient_c, total_power * channels
 
 
 class GridMemSpot:
@@ -306,10 +326,10 @@ class GridMemSpot:
     inlet/interaction, channel count, power coefficients — stays the
     cell's own.  One :meth:`step_all` (or its :meth:`step_all_uniform`
     / :meth:`step_all_raw` variants) advances every cell by one window:
-    one kernel call per window for a whole gang
-    (:mod:`repro.engine.gang`).
+    one kernel call per window for a whole gang, or for a solo run's
+    single lane (:mod:`repro.engine.lanes`).
 
-    Each lane is the cell's own :meth:`BatchedMemSpot.step`, so the
+    Each lane is the cell's own :meth:`BatchedMemSpot.step_raw`, so the
     grid is bit-identical to per-cell stepping by construction and the
     cells always hold the live thermal state: there is nothing to copy
     in or write back, and a grid can be dropped and rebuilt around any
@@ -355,6 +375,24 @@ class GridMemSpot:
 
     # -- the hot path ------------------------------------------------------
 
+    def _check_inputs(
+        self,
+        read_bytes_per_s: Sequence[float],
+        write_bytes_per_s: Sequence[float],
+        cpu_heating_sums: Sequence[float],
+    ) -> None:
+        count = len(self._cells)
+        if (
+            len(read_bytes_per_s) != count
+            or len(write_bytes_per_s) != count
+            or len(cpu_heating_sums) != count
+        ):
+            raise ConfigurationError(
+                f"step_all needs one input per cell ({count}), got "
+                f"{len(read_bytes_per_s)}/{len(write_bytes_per_s)}/"
+                f"{len(cpu_heating_sums)}"
+            )
+
     def step_all(
         self,
         read_bytes_per_s: Sequence[float],
@@ -369,17 +407,7 @@ class GridMemSpot:
         shared — the gang's lock-step cadence is what makes cells
         compatible.
         """
-        count = len(self._cells)
-        if (
-            len(read_bytes_per_s) != count
-            or len(write_bytes_per_s) != count
-            or len(cpu_heating_sums) != count
-        ):
-            raise ConfigurationError(
-                f"step_all needs one input per cell ({count}), got "
-                f"{len(read_bytes_per_s)}/{len(write_bytes_per_s)}/"
-                f"{len(cpu_heating_sums)}"
-            )
+        self._check_inputs(read_bytes_per_s, write_bytes_per_s, cpu_heating_sums)
         return [
             cell.step(read_bps, write_bps, heating, dt_s)
             for cell, read_bps, write_bps, heating in zip(
@@ -417,15 +445,24 @@ class GridMemSpot:
 
         Returns ``(amb_peak_c, dram_peak_c, ambient_c, memory_power_w)``
         — the :class:`~repro.core.memspot.MemSpotSample` fields, one
-        list per field in grid order — which is the shape the lockstep
-        gang's per-window accounting consumes.
+        list per field in grid order — which is the shape the lane
+        loop's per-window accounting consumes.  Built straight from
+        each lane's :meth:`BatchedMemSpot.step_raw` tuple: no sample
+        objects in between.
         """
-        samples = self.step_all(
-            read_bytes_per_s, write_bytes_per_s, cpu_heating_sums, dt_s
-        )
-        return (
-            [s.amb_c for s in samples],
-            [s.dram_c for s in samples],
-            [s.ambient_c for s in samples],
-            [s.memory_power_w for s in samples],
-        )
+        self._check_inputs(read_bytes_per_s, write_bytes_per_s, cpu_heating_sums)
+        amb_c: list[float] = []
+        dram_c: list[float] = []
+        ambient_c: list[float] = []
+        power_w: list[float] = []
+        for cell, read_bps, write_bps, heating in zip(
+            self._cells, read_bytes_per_s, write_bytes_per_s, cpu_heating_sums
+        ):
+            amb, dram, ambient, power = cell.step_raw(
+                read_bps, write_bps, heating, dt_s
+            )
+            amb_c.append(amb)
+            dram_c.append(dram)
+            ambient_c.append(ambient)
+            power_w.append(power)
+        return amb_c, dram_c, ambient_c, power_w

@@ -2,7 +2,8 @@
 
 Layer stack::
 
-    repro.engine          <- this package: cadence, checkpoints, observers
+    repro.engine          <- this package: cadence, lane loop, checkpoints,
+                             observers
     repro.core.simulator  <- Chapter4Strategy / TwoLevelSimulator
     repro.testbed.runner  <- ServerStrategy / HomogeneousStrategy
     repro.campaign        <- cached, deduplicated cells over the engine

@@ -8,8 +8,13 @@ chains per window.  Two modes, chosen by how much the cells share:
 
 - **lockstep** — cells share the DTM cadence (equal ``dt_s``) and the
   chain topology but may differ in policy/workload.  Each cell's
-  strategy still runs every window (:meth:`SteppingEngine.begin_window`);
-  only the thermal kernel dispatch is batched.
+  strategy still runs every window.  When every cell passes
+  :func:`~repro.engine.lanes.lane_eligible` the gang steps them as the
+  lanes of one :class:`~repro.engine.lanes.LaneLoop` — the loop a solo
+  engine runs over a single lane — with batched policy decisions and
+  flat accounting; otherwise each cell runs
+  :meth:`SteppingEngine.begin_window` / :meth:`SteppingEngine.apply_window`
+  and only the thermal kernel dispatch is batched.
 - **leader** — cells additionally share every workload-relevant axis
   (mix, policy, copies, duty cycle, bandwidth scale, ...) and their
   policy is :attr:`~repro.dtm.base.DTMPolicy.thermally_insensitive` —
@@ -21,10 +26,11 @@ chains per window.  Two modes, chosen by how much the cells share:
   under N inlet temperatures) cost roughly one cell's strategy work
   plus N thermal lanes.
 
-Bit-identity is the design constraint, not an afterthought: gangs call
-the exact :meth:`~repro.engine.stepping.SteppingEngine.begin_window` /
-:meth:`~repro.engine.stepping.SteppingEngine.apply_window` halves a
-solo run uses, the grid kernel is bit-identical to per-cell stepping,
+Bit-identity is the design constraint, not an afterthought: lockstep
+gangs run the solo lane loop, the per-cell fallback and leader mode
+call the exact :meth:`~repro.engine.stepping.SteppingEngine.begin_window` /
+:meth:`~repro.engine.stepping.SteppingEngine.apply_window` halves of
+the per-window path, the grid kernel is bit-identical to per-cell stepping,
 and leader-mode followers receive the leader's strategy-owned
 accumulators by *assignment* (their own sequential additions would
 have produced exactly these bits — same operations, same order).  The
@@ -45,7 +51,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.core.kernel import BatchedMemSpot, GridMemSpot
-from repro.engine.observers import ProgressObserver, TraceRecorder
+from repro.engine.lanes import LaneLoop, lane_eligible
 from repro.engine.state import EngineState
 from repro.engine.stepping import SteppingEngine
 from repro.errors import CheckpointError, ConfigurationError
@@ -93,44 +99,6 @@ def leader_signature(spec: Any) -> str | None:
         return None
     fields = {k: v for k, v in spec.__dict__.items() if k not in irrelevant}
     return f"{spec.kind}|{json.dumps(fields, sort_keys=True, default=str)}"
-
-
-class _VectorEpoch:
-    """Hoisted state for the batched lockstep fast path.
-
-    One instance spans one membership generation of a gang (built
-    lazily, dropped on retirement/restore/flush).  It shadows the
-    engine-owned per-window accounting in per-cell lists — peaks,
-    energy integrals, clocks — and carries the per-policy-class
-    grouping that :meth:`~repro.dtm.base.DTMPolicy.decide_all` batches
-    over, so the per-window cost of N thermally-sensitive cells is one
-    pass over those lists plus the strategies' own scheduler work
-    instead of N full ``begin_window``/``apply_window`` round trips.
-    The lists are scattered back into the engines at every point where
-    engine state becomes externally visible.
-    """
-
-    __slots__ = (
-        "engines",
-        "strategies",
-        "window_fns",
-        "done_fns",
-        "groups",
-        "grid",
-        "horizons",
-        "min_horizon",
-        "progress_observers",
-        "any_progress",
-        "amb",
-        "dram",
-        "windows",
-        "now",
-        "peak_amb",
-        "peak_dram",
-        "amb_int",
-        "mem_e",
-        "cpu_e",
-    )
 
 
 class GangStrategy:
@@ -193,7 +161,7 @@ class GangStrategy:
         self._grid: GridMemSpot | None = None
         #: Vector fast-path state: None = not yet evaluated for the
         #: current membership, False = ineligible (per-cell fallback),
-        #: else the live :class:`_VectorEpoch`.
+        #: else the live :class:`~repro.engine.lanes.LaneLoop`.
         self._vector: Any = None
         if mode == "leader":
             METRICS.counter_inc(
@@ -274,200 +242,27 @@ class GangStrategy:
     # -- vector fast path --------------------------------------------------
 
     def _build_vector_epoch(self) -> Any:
-        """Build the batched-lockstep state, or False when ineligible.
+        """The lane loop over the active cells, or False when ineligible.
 
-        The fast path replays every per-window operation a solo engine
-        performs, so it only engages when nothing else watches the
-        per-window stream: no per-phase tracing, strategies that expose
-        the split decide/window surface, and observers that provably
-        cannot see a difference (a disabled :class:`TraceRecorder`, or
-        a :class:`ProgressObserver` — fired at exactly the windows it
-        would fire on solo, against flushed engine state).
+        Every active engine must pass
+        :func:`~repro.engine.lanes.lane_eligible` — the same test a
+        solo engine applies to itself — or the whole gang steps the
+        per-cell fallback.  Traced engines qualify: the loop feeds
+        their tracing observers sampled phase timings.
         """
         engines = self._active_engines
-        strategies = []
-        progress_observers: list[list[ProgressObserver]] = []
-        for engine in engines:
-            strategy = engine.strategy
-            if engine._tracing is not None:
-                return False
-            if not hasattr(strategy, "dtm_policy") or not hasattr(
-                strategy, "window_with_decision"
-            ):
-                return False
-            watchers: list[ProgressObserver] = []
-            for obs in engine.observers:
-                if type(obs) is TraceRecorder and not obs.enabled:
-                    continue
-                if type(obs) is ProgressObserver:
-                    watchers.append(obs)
-                    continue
-                return False
-            strategies.append(strategy)
-            progress_observers.append(watchers)
-
-        ep = _VectorEpoch()
-        ep.engines = list(engines)
-        ep.strategies = strategies
-        ep.window_fns = [
-            getattr(s, "window_fast", None) or s.window_with_decision
-            for s in strategies
-        ]
-        ep.done_fns = [
-            (engine.strategy.done, engine) for engine in engines
-        ]
-        groups: dict[type, list] = {}
-        for position, strategy in enumerate(strategies):
-            policy = strategy.dtm_policy
-            group = groups.get(type(policy))
-            if group is None:
-                groups[type(policy)] = group = (type(policy), [], [])
-            group[1].append(position)
-            group[2].append(policy)
-        ep.groups = list(groups.values())
-        ep.grid = self._ensure_grid()
-        ep.horizons = [s.max_sim_horizon() for s in strategies]
-        ep.min_horizon = min(
-            (h for h in ep.horizons if h is not None), default=None
-        )
-        ep.progress_observers = progress_observers
-        ep.any_progress = any(progress_observers)
-        ep.amb = [engine.sample.amb_c for engine in engines]
-        ep.dram = [engine.sample.dram_c for engine in engines]
-        ep.windows = [engine.windows for engine in engines]
-        ep.now = [engine.now_s for engine in engines]
-        ep.peak_amb = [engine.peak_amb_c for engine in engines]
-        ep.peak_dram = [engine.peak_dram_c for engine in engines]
-        ep.amb_int = [engine.ambient_integral for engine in engines]
-        ep.mem_e = [engine.memory_energy_j for engine in engines]
-        ep.cpu_e = [engine.cpu_energy_j for engine in engines]
-        return ep
-
-    def _scatter_vector_state(self, ep: _VectorEpoch) -> None:
-        """Write the epoch's shadow accumulators into the engines."""
-        for i, engine in enumerate(ep.engines):
-            engine.peak_amb_c = ep.peak_amb[i]
-            engine.peak_dram_c = ep.peak_dram[i]
-            engine.ambient_integral = ep.amb_int[i]
-            engine.memory_energy_j = ep.mem_e[i]
-            engine.cpu_energy_j = ep.cpu_e[i]
-            engine.windows = ep.windows[i]
-            engine.now_s = ep.now[i]
+        if not all(lane_eligible(engine) for engine in engines):
+            return False
+        return LaneLoop(engines)
 
     def _flush_vector(self) -> None:
-        """Fully commit and drop a live vector epoch.
-
-        Engine accumulators and each engine's live ``sample`` become
-        consistent with what per-cell stepping would have left — the
-        same boundary contract :meth:`SteppingEngine.restore` relies
-        on (``sample()`` at a window boundary equals the last step's
-        sample in every field read before the next step).
-        """
-        ep = self._vector
-        if not isinstance(ep, _VectorEpoch):
+        """Fully commit and drop a live lane loop (see
+        :meth:`~repro.engine.lanes.LaneLoop.flush`)."""
+        loop = self._vector
+        if not isinstance(loop, LaneLoop):
             return
         self._vector = None
-        self._scatter_vector_state(ep)
-        for engine in ep.engines:
-            engine.sample = engine.strategy.memspot.sample()
-
-    def _step_vector(self, ep: _VectorEpoch) -> bool:
-        """One batched lockstep window (the vector fast path)."""
-        engines = ep.engines
-        count = len(engines)
-        dt = self.dt_s
-        now = ep.now
-        # Runaway-horizon guard, hoisted: nobody can trip a horizon
-        # while the latest clock is below the earliest one.
-        if ep.min_horizon is not None and max(now) > ep.min_horizon:
-            for i, engine in enumerate(engines):
-                horizon = ep.horizons[i]
-                if horizon is not None and now[i] > horizon:
-                    strategy = ep.strategies[i]
-                    self._flush_vector()
-                    raise strategy.timeout_error(engine)
-
-        # Batched policy decisions, one decide_all per policy class.
-        amb = ep.amb
-        dram = ep.dram
-        groups = ep.groups
-        if len(groups) == 1:
-            cls, _positions, policies = groups[0]
-            decisions = cls.decide_all(policies, amb, dram, dt)
-        else:
-            decisions = [None] * count
-            for cls, positions, policies in groups:
-                got = cls.decide_all(
-                    policies,
-                    [amb[i] for i in positions],
-                    [dram[i] for i in positions],
-                    dt,
-                )
-                for i, decision in zip(positions, got):
-                    decisions[i] = decision
-
-        # Per-cell strategy windows under the precomputed decisions.
-        outcomes = [
-            fn(engine, decision)
-            for fn, engine, decision in zip(ep.window_fns, engines, decisions)
-        ]
-
-        # One grid step for all thermal chains, as per-field lists.
-        amb_peak, dram_peak, ambient_c, power = ep.grid.step_all_raw(
-            [o.read_bytes_per_s for o in outcomes],
-            [o.write_bytes_per_s for o in outcomes],
-            [o.heating_sum for o in outcomes],
-            dt,
-        )
-
-        # apply_window accounting, per cell — the same max/multiply/add
-        # sequence a solo engine runs.
-        peak_amb = ep.peak_amb
-        peak_dram = ep.peak_dram
-        amb_int = ep.amb_int
-        mem_e = ep.mem_e
-        cpu_e = ep.cpu_e
-        for i in range(count):
-            if amb_peak[i] > peak_amb[i]:
-                peak_amb[i] = amb_peak[i]
-            if dram_peak[i] > peak_dram[i]:
-                peak_dram[i] = dram_peak[i]
-            amb_int[i] += ambient_c[i] * dt
-            mem_e[i] += power[i] * dt
-            cpu_e[i] += outcomes[i].cpu_power_w * dt
-        ep.amb = amb_peak
-        ep.dram = dram_peak
-
-        # Clock advance plus the progress-observer cadence.
-        windows = ep.windows
-        fired = False
-        if ep.any_progress:
-            watchers = ep.progress_observers
-            for i in range(count):
-                now[i] += dt
-                w = windows[i] + 1
-                windows[i] = w
-                for obs in watchers[i]:
-                    if w % obs.every_windows == 0:
-                        fired = True
-        else:
-            for i in range(count):
-                now[i] += dt
-                windows[i] += 1
-        if fired:
-            # Observers see flushed engine state at exactly the windows
-            # they would fire on solo (their own modulo re-checks).
-            self._scatter_vector_state(ep)
-            for i, engine in enumerate(engines):
-                for obs in ep.progress_observers[i]:
-                    obs.on_window(engine)
-
-        for done, engine in ep.done_fns:
-            if done(engine):
-                self._flush_vector()
-                self._retire_finished()
-                return True
-        return True
+        loop.flush()
 
     def step_window(self) -> bool:
         """Advance every unfinished cell by one window.
@@ -488,7 +283,15 @@ class GangStrategy:
                     path="vector" if epoch is not False else "fallback",
                 )
             if epoch is not False:
-                return self._step_vector(epoch)
+                try:
+                    finished = epoch.step()
+                except BaseException:
+                    self._flush_vector()
+                    raise
+                if finished:
+                    self._flush_vector()
+                    self._retire_finished()
+                return True
         if self.mode == "leader":
             leader = engines[0]
             outcome = leader.begin_window()
@@ -545,7 +348,7 @@ class GangStrategy:
     def checkpoint(self) -> list[EngineState]:
         """Per-cell snapshots at the current window boundary.
 
-        The vector epoch is flushed and leader-mode follower
+        The lane loop is flushed and leader-mode follower
         strategies adopt the leader's state first, so each
         snapshot equals the one a solo run of that cell would have
         written — restoring into fresh solo engines (or a fresh gang)
@@ -640,7 +443,9 @@ def plan_gangs(
     def emit(members: list, mode: str) -> None:
         for chunk in _chunked(members, batch_cells):
             if len(chunk) < 2:
-                # A gang of one is just overhead; run the cell solo.
+                # A solo engine already steps the same lane loop a
+                # gang would; running it solo skips only the gang's
+                # bookkeeping (and its gang-only counters).
                 solo.extend((key, spec) for key, spec, _ in chunk)
                 continue
             gangs.append(

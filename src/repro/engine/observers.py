@@ -46,6 +46,13 @@ class Observer:
     #: checkpoint shape or restore compatibility.
     transient = False
 
+    #: Cadenced observers act only on windows where ``engine.windows``
+    #: is a multiple of their ``every_windows`` and only read engine
+    #: state there.  The lane loop (:mod:`repro.engine.lanes`) calls
+    #: them on exactly those windows, against scattered engine state,
+    #: instead of after every window.
+    cadenced = False
+
     def on_window(self, engine: "SteppingEngine") -> None:
         """Called after each completed window (clock already advanced)."""
 
@@ -142,6 +149,8 @@ class ProgressObserver(Observer):
     observer is safe to attach unconditionally.
     """
 
+    cadenced = True
+
     def __init__(self, every_windows: int = 200) -> None:
         if every_windows < 1:
             raise ValueError("every_windows must be >= 1")
@@ -181,6 +190,8 @@ class CheckpointObserver(Observer):
     :class:`~repro.engine.state.EngineStateSerializer` that re-dumps
     only the sections whose content moved since the previous write.
     """
+
+    cadenced = True
 
     def __init__(
         self, checkpoint: CheckpointFile | str, every_windows: int = 1000

@@ -11,7 +11,12 @@ only execute to completion inside one opaque call.
 :class:`SteppingEngine` owns the cadence behind an incremental surface:
 
 - :meth:`step_windows` / :meth:`run_to_completion` — advance one slice
-  or the whole batch;
+  or the whole batch.  An engine that passes
+  :func:`~repro.engine.lanes.lane_eligible` runs them as a one-lane
+  :class:`~repro.engine.lanes.LaneLoop` — the loop a lockstep gang
+  runs over N lanes — and returns with its state scattered back, so
+  a slice can be checkpointed straight away; any other engine calls
+  :meth:`step_window` once per window;
 - :meth:`checkpoint` / :meth:`restore` — an explicit, versioned,
   JSON-serializable :class:`~repro.engine.state.EngineState` snapshot
   at any window boundary.  A restored run is **bit-identical** to an
@@ -29,7 +34,9 @@ tracking, the ambient-temperature time integral, memory/CPU energy —
 in exactly the floating-point order the inlined loops used, so
 engine-hosted runs reproduce the pre-refactor goldens byte for byte.
 
-Within one window the division of labor is:
+Within one window of the per-window path (:meth:`step_window`, which
+the lane loop replays operation for operation) the division of labor
+is:
 
 1. engine: runaway guard (``now > max_sim_s`` raises the strategy's
    :class:`~repro.errors.SimulationError`);
@@ -143,7 +150,8 @@ class SteppingEngine:
         self.dt_s = strategy.dt_s
         self._observers = list(observers)
         # When process-wide tracing is on, a transient TracingObserver
-        # rides along and `step_window` takes the phase-timed path.
+        # rides along: `step_window` takes the phase-timed path and the
+        # lane loop times the windows it samples.
         # Imported lazily: repro.obs.trace subclasses Observer.
         from repro.obs.trace import engine_observer
 
@@ -268,21 +276,43 @@ class SteppingEngine:
         Stops early when the batch completes (or an observer requested
         a stop), so callers can slice a run without overshooting:
         time-sliced cluster cells and the CLI's checkpointed runs are
-        both built on this.
+        both built on this.  Engine state is complete on return — a
+        :meth:`checkpoint` straight after is the same snapshot the
+        per-window path would give.
         """
         if count < 0:
             raise SimulationError("cannot step a negative window count")
-        stepped = 0
-        while stepped < count and not self._stop_requested and not self.done:
-            self.step_window()
-            stepped += 1
-        return stepped
+        return self._advance(count)
 
     def run_to_completion(self) -> Any:
         """Run the remaining windows and return the strategy's result."""
-        while not self._stop_requested and not self.done:
-            self.step_window()
+        self._advance(None)
         return self.finish()
+
+    def _advance(self, limit: int | None) -> int:
+        """Step up to ``limit`` windows (None = to the end).
+
+        Engines that pass :func:`~repro.engine.lanes.lane_eligible` run
+        as a one-lane :class:`~repro.engine.lanes.LaneLoop`; the rest
+        call :meth:`step_window` once per window.
+        """
+        if limit == 0 or self._stop_requested or self.done:
+            return 0
+        # Imported lazily: repro.engine.lanes imports repro.core, whose
+        # simulator imports this module.
+        from repro.engine.lanes import LaneLoop, lane_eligible
+
+        if lane_eligible(self):
+            return LaneLoop([self]).run(limit)
+        stepped = 0
+        while (
+            (limit is None or stepped < limit)
+            and not self._stop_requested
+            and not self.done
+        ):
+            self.step_window()
+            stepped += 1
+        return stepped
 
     def finish(self) -> Any:
         """Finalize the result (idempotent) and notify observers."""

@@ -330,12 +330,17 @@ class TracingObserver(Observer):
     """Per-window engine phase timings, recorded under sampling.
 
     Attached by :class:`~repro.engine.SteppingEngine` when tracing is
-    enabled.  The engine times the three window phases — DTM policy
-    decision (``begin_window``), the thermal kernel step, and
-    accounting + observer fan-out (which contains checkpoint writes) —
-    and hands them here; every ``sample_every``-th window becomes a
-    ``window`` span whose args carry the phase split, so a Perfetto
-    view of a slow cell answers "where did the time go".
+    enabled.  Whichever path steps the engine times the three window
+    phases — DTM policy decision plus strategy window, the thermal
+    kernel step, and accounting + observer fan-out (which contains
+    checkpoint writes) — and hands them here; every
+    ``sample_every``-th window becomes a ``window`` span whose args
+    carry the phase split, so a Perfetto view of a slow cell answers
+    "where did the time go".  The lane loop
+    (:mod:`repro.engine.lanes`) counts down :meth:`windows_to_sample`,
+    reports the unsampled windows in bulk (:meth:`skip`) and reads the
+    clock only on sampled windows; its phases cover every lane it
+    steps, which the span's ``lanes`` arg records.
 
     Transient: excluded from engine checkpoints, so attaching it never
     changes checkpoint shape or restore compatibility.
@@ -352,6 +357,19 @@ class TracingObserver(Observer):
         )
         self._windows = 0
 
+    def windows_to_sample(self) -> int:
+        """Unsampled windows to go before the next sampled one."""
+        return -self._windows % self.sample_every
+
+    def skip(self, windows: int) -> None:
+        """Count ``windows`` windows that ran unsampled."""
+        self._windows += windows
+
+    def tick(self) -> bool:
+        """Count one window; True when it is a sampled one."""
+        self._windows += 1
+        return not (self._windows - 1) % self.sample_every
+
     def record_phases(
         self,
         engine,
@@ -359,10 +377,14 @@ class TracingObserver(Observer):
         kernel_s: float,
         apply_s: float,
     ) -> None:
-        """Called by the engine after each window when tracing is on."""
-        self._windows += 1
-        if (self._windows - 1) % self.sample_every:
-            return
+        """Called by the per-window engine path after each window."""
+        if self.tick():
+            self.emit(policy_s, kernel_s, apply_s)
+
+    def emit(
+        self, policy_s: float, kernel_s: float, apply_s: float, lanes: int = 1
+    ) -> None:
+        """Record the window just counted by :meth:`tick` as a span."""
         total = policy_s + kernel_s + apply_s
         with self.tracer.span(
             "window",
@@ -370,6 +392,7 @@ class TracingObserver(Observer):
             policy_s=round(policy_s, 9),
             kernel_s=round(kernel_s, 9),
             apply_s=round(apply_s, 9),
+            lanes=lanes,
             sampled_every=self.sample_every,
         ) as span:
             # Back-date the span to cover the measured window instead of
